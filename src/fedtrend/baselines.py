@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -10,7 +11,7 @@ import numpy as np
 from .bayes import (
     PosteriorRanking,
     PriorDistribution,
-    compute_local_likelihood,
+    local_likelihoods,
     posterior_scores,
 )
 from .corpus import Document, VocabularyIndex
@@ -59,12 +60,13 @@ def rank_by_total_count(
     all_docs: Sequence[Document], vocab: VocabularyIndex
 ) -> CountRanking:
     """Rank vocabulary keywords by total token occurrences in the pooled
-    document multiset (documents sampled more than once count per copy)."""
+    document multiset (documents sampled more than once count per copy).
+    Each distinct document's tokens are counted once, weighted by its copies."""
     counts = {kw: 0 for kw in vocab.keywords}
-    for doc in all_docs:
-        for token in doc.tokens:
+    for doc, copies in Counter(all_docs).items():
+        for token, occurrences in Counter(doc.tokens).items():
             if token in counts:
-                counts[token] += 1
+                counts[token] += occurrences * copies
     return CountRanking.from_counts(counts)
 
 
@@ -101,11 +103,10 @@ def pooled_likelihood(
     n = len(all_users_docs)
     if n == 0:
         raise ValueError("need at least one user")
-    per_user = [
-        compute_local_likelihood(docs, vocab, k=k, user_id=str(i), alpha0=alpha0).values.values
-        for i, docs in enumerate(all_users_docs)
-    ]
-    return FeatureVector(values=ordered_sum(per_user), bounds=(0.0, float(n)))
+    per_user = local_likelihoods(all_users_docs, vocab, k=k, alpha0=alpha0)
+    return FeatureVector(
+        values=ordered_sum(lk.values.values for lk in per_user), bounds=(0.0, float(n))
+    )
 
 
 def centralized_oracle(

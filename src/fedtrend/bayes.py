@@ -10,7 +10,7 @@ a constant and is never computed, since only the ranking matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ __all__ = [
     "PriorDistribution",
     "compute_local_likelihood",
     "compute_prior",
+    "local_likelihoods",
     "posterior_scores",
     "update_prior",
 ]
@@ -100,6 +101,56 @@ def compute_prior(vocab: VocabularyIndex) -> PriorDistribution:
     return PriorDistribution(vocab=vocab, p=vocab.idf / total)
 
 
+def local_likelihoods(
+    all_users_docs: Sequence[Sequence[Document]],
+    vocab: VocabularyIndex,
+    k: int = 5,
+    alpha0: float = 0.0,
+) -> list[LikelihoodVector]:
+    """Dirichlet-mean likelihood of every user; user i gets ``user_id`` str(i).
+
+    c[j] counts the user's documents (per copy, if a document was sampled
+    more than once) whose primary keyword set contains keyword j.  Keywords
+    outside every primary keyword set keep likelihood 0.  ``alpha0`` adds a
+    symmetric pseudo-count for callers who want nonzero support everywhere.
+    Each vector sums to 1 unless its user contributes no counts at all, in
+    which case it is all zeros.
+
+    Each distinct document's primary keyword set is computed once per call,
+    whichever users sampled it and however often.  Documents are told apart
+    by value, so two documents sharing an id but not their tokens stay
+    distinct.  Counts are integers until the final division, so the result
+    does not depend on how the work is grouped.
+    """
+    if alpha0 < 0:
+        raise ValueError("alpha0 must be nonnegative")
+    columns: dict[Document, list[int]] = {}  # vocabulary indices per document
+    likelihoods = []
+    for i, user_docs in enumerate(all_users_docs):
+        hits: list[int] = []
+        for doc in user_docs:
+            doc_columns = columns.get(doc)
+            if doc_columns is None:
+                keywords = primary_keyword_set(doc, k).keywords
+                doc_columns = columns[doc] = [
+                    j for j in map(vocab.index_of, keywords) if j is not None
+                ]
+            hits.extend(doc_columns)
+        counts = np.bincount(
+            np.asarray(hits, dtype=np.intp), minlength=len(vocab)
+        ).astype(np.float64)
+        if alpha0 > 0:
+            counts += alpha0
+        total = float(counts.sum())
+        values = counts / total if total > 0 else counts
+        likelihoods.append(
+            LikelihoodVector(
+                user_id=str(i), values=FeatureVector(values=values, bounds=(0.0, 1.0))
+            )
+        )
+    return likelihoods
+
+
 def compute_local_likelihood(
     user_docs: Sequence[Document],
     vocab: VocabularyIndex,
@@ -107,30 +158,15 @@ def compute_local_likelihood(
     user_id: str = "",
     alpha0: float = 0.0,
 ) -> LikelihoodVector:
-    """Dirichlet-mean likelihood from primary-keyword-set document counts.
+    """One user's likelihood, as ``local_likelihoods`` computes it.
 
-    c[j] counts the user's documents (per copy, if a document was sampled
-    more than once) whose primary keyword set contains keyword j.  Keywords
-    outside every primary keyword set keep likelihood 0.  ``alpha0`` adds a
-    symmetric pseudo-count for callers who want nonzero support everywhere.
-    The result sums to 1 unless the user contributes no counts at all, in
-    which case it is all zeros.
+    Each distinct document among ``user_docs`` is reduced to its primary
+    keyword set once per call.  To score many users, call
+    ``local_likelihoods`` once instead, so that documents shared between
+    users are also reduced once.
     """
-    if alpha0 < 0:
-        raise ValueError("alpha0 must be nonnegative")
-    counts = np.zeros(len(vocab), dtype=np.float64)
-    for doc in user_docs:
-        for keyword in primary_keyword_set(doc, k).keywords:
-            j = vocab.index_of(keyword)
-            if j is not None:
-                counts[j] += 1.0
-    if alpha0 > 0:
-        counts += alpha0
-    total = float(counts.sum())
-    values = counts / total if total > 0 else counts
-    return LikelihoodVector(
-        user_id=user_id, values=FeatureVector(values=values, bounds=(0.0, 1.0))
-    )
+    (likelihood,) = local_likelihoods([user_docs], vocab, k=k, alpha0=alpha0)
+    return replace(likelihood, user_id=user_id)
 
 
 def posterior_scores(

@@ -207,20 +207,19 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def _clean_chunk(chunk: str) -> str:
-    # Strip leading/trailing punctuation, then drop interior punctuation
-    # except hyphens ("victim-offender" style compounds stay intact).
-    start, end = 0, len(chunk)
-    while start < end and _is_punct(chunk[start]):
-        start += 1
-    while end > start and _is_punct(chunk[end - 1]):
-        end -= 1
-    return "".join(ch for ch in chunk[start:end] if ch == "-" or not _is_punct(ch))
-
-
 def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase, split on Unicode whitespace, strip punctuation."""
-    return tuple(t for t in (_clean_chunk(c) for c in text.lower().split()) if t)
+    """Lowercase, split on Unicode whitespace, strip punctuation.
+
+    Each chunk loses its leading and trailing punctuation (any Unicode
+    ``P*`` category), then its interior punctuation except hyphens
+    ("victim-offender" style compounds stay intact).  Punctuation is looked
+    up once per call, over the text's distinct characters.
+    """
+    text = text.lower()
+    punct = "".join(ch for ch in set(text) if _is_punct(ch))
+    interior = str.maketrans("", "", punct.replace("-", ""))
+    chunks = (chunk.strip(punct).translate(interior) for chunk in text.split())
+    return tuple(t for t in chunks if t)
 
 
 _SIBILANT_STEMS = ("x", "z", "ch", "sh", "ss")

@@ -24,6 +24,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "build_vocabulary",
+    "rankings_csv",
     "run_experiment",
     "sample_user_documents",
     "write_outputs",
@@ -174,12 +175,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # by the extra entropy word.
     sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 1)))
     user_docs = sample_user_documents(documents, cfg.n_users, sample_rng)
-    likelihoods = [
-        bayes.compute_local_likelihood(
-            docs, vocab, k=cfg.k, user_id=str(i), alpha0=cfg.alpha0
-        )
-        for i, docs in enumerate(user_docs)
-    ]
+    likelihoods = bayes.local_likelihoods(user_docs, vocab, k=cfg.k, alpha0=cfg.alpha0)
     secrets = [lk.values for lk in likelihoods]
 
     round_cfg = netsim.RoundConfig(
@@ -204,10 +200,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if round_index + 1 < cfg.rounds:
             prior = bayes.update_prior(ranking)
 
-    # Oracle mirrors the belief updates on the exact (share-free) aggregate.
+    # Oracle mirrors the belief updates on the exact (share-free) aggregate:
+    # the same likelihood vectors, summed in ascending user order.
     oracle_values = _quantize(
-        baselines.pooled_likelihood(user_docs, vocab, k=cfg.k, alpha0=cfg.alpha0).values,
-        cfg.score_resolution,
+        secagg.ordered_sum([s.values for s in secrets]), cfg.score_resolution
     )
     if cfg.aggregation == "mean":
         oracle_values = oracle_values / cfg.n_users
@@ -280,12 +276,11 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def rankings_csv(result: ExperimentResult) -> str:
+def rankings_csv(vocab: corpus.VocabularyIndex, ranking: bayes.PosteriorRanking) -> str:
+    """``keyword,score,rank`` lines in rank order, 17-significant-digit scores."""
     lines = ["keyword,score,rank"]
-    for rank, j in enumerate(result.posterior.order, start=1):
-        lines.append(
-            f"{result.vocab.keywords[j]},{_fmt(result.posterior.scores[j])},{rank}"
-        )
+    for rank, j in enumerate(ranking.order, start=1):
+        lines.append(f"{vocab.keywords[j]},{_fmt(ranking.scores[j])},{rank}")
     return "\n".join(lines) + "\n"
 
 
@@ -323,7 +318,9 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pa
         "transcript": out / "transcript.jsonl",
         "meta": out / "meta.json",
     }
-    paths["rankings_csv"].write_text(rankings_csv(result), encoding="utf-8")
+    paths["rankings_csv"].write_text(
+        rankings_csv(result.vocab, result.posterior), encoding="utf-8"
+    )
     paths["rankings_md"].write_text(rankings_markdown(result), encoding="utf-8")
     netsim.write_transcript(result.transcript, paths["transcript"])
     paths["meta"].write_text(

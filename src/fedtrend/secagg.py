@@ -228,13 +228,14 @@ def validate_aggregate(
 ) -> RangeReport:
     """Flag coordinates outside [N*a - tol, N*b + tol]; boundary inclusive.
 
-    Never raises: an active participant can only shift the aggregate inside
-    the admissible range, so anything outside it proves misbehavior.
+    Non-finite coordinates are flagged too: NaN lies in no range.  Never
+    raises: an active participant can only shift the aggregate inside the
+    admissible range, so anything outside it proves misbehavior.
     """
     a, b = per_user_bounds
     low, high = n_users * a - tolerance, n_users * b + tolerance
     values = agg.values
-    bad = np.nonzero((values < low) | (values > high))[0]
+    bad = np.flatnonzero(~((values >= low) & (values <= high)))
     flagged = tuple((int(j), float(values[j])) for j in bad)
     return RangeReport(flagged=flagged, low=low, high=high, tolerance=tolerance)
 

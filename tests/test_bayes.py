@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedtrend.bayes import (
@@ -10,10 +10,12 @@ from fedtrend.bayes import (
     PriorDistribution,
     compute_local_likelihood,
     compute_prior,
+    local_likelihoods,
     posterior_scores,
     update_prior,
 )
-from fedtrend.corpus import Document, VocabularyIndex
+from fedtrend.corpus import Document, VocabularyIndex, primary_keyword_set
+from fedtrend.experiment import sample_user_documents
 from fedtrend.secagg import FeatureVector
 
 
@@ -133,6 +135,63 @@ def test_likelihood_sums_to_one_or_zero(doc_tokens):
     total = values.sum()
     assert np.all(values >= 0.0) and np.all(values <= 1.0)
     assert total == 0.0 or abs(total - 1.0) <= 1e-12
+
+
+def _reference_likelihood(docs, vocab, k, alpha0):
+    # One primary keyword set per sampled copy, counted as floats.
+    counts = np.zeros(len(vocab), dtype=np.float64)
+    for doc in docs:
+        for keyword in primary_keyword_set(doc, k).keywords:
+            j = vocab.index_of(keyword)
+            if j is not None:
+                counts[j] += 1.0
+    if alpha0 > 0:
+        counts += alpha0
+    total = float(counts.sum())
+    return counts / total if total > 0 else counts
+
+
+# Documents 0 and 1 share an id but not their tokens; document 3 has no
+# in-vocabulary keyword and document 4 no tokens at all.
+LIKELIHOOD_POOL = (
+    Document(id="7", raw_text="", tokens=("a", "a", "b", "c")),
+    Document(id="7", raw_text="", tokens=("d", "e", "e")),
+    Document(id="8", raw_text="", tokens=("b", "c", "f", "zz")),
+    Document(id="9", raw_text="", tokens=("yy", "zz")),
+    Document(id="10", raw_text="", tokens=()),
+)
+
+
+@settings(max_examples=200)
+@example(users=[[0, 0, 1], [2, 0, 2, 1], [3, 3], []], alpha0=0.5)
+@given(
+    users=st.lists(
+        st.lists(st.integers(0, len(LIKELIHOOD_POOL) - 1), max_size=8),
+        min_size=1,
+        max_size=6,
+    ),
+    alpha0=st.sampled_from([0.0, 0.5, 3.0]),
+)
+def test_local_likelihoods_match_per_user_loop(users, alpha0):
+    vocab = vocab_of(*((k, 1.0) for k in "abcdef"))
+    all_users_docs = [[LIKELIHOOD_POOL[i] for i in picks] for picks in users]
+    got = local_likelihoods(all_users_docs, vocab, k=2, alpha0=alpha0)
+    assert [lk.user_id for lk in got] == [str(i) for i in range(len(users))]
+    for lk, docs in zip(got, all_users_docs):
+        expected = _reference_likelihood(docs, vocab, 2, alpha0)
+        assert np.array_equal(lk.values.values, expected)
+        single = compute_local_likelihood(docs, vocab, k=2, user_id="u", alpha0=alpha0)
+        assert single.user_id == "u"
+        assert np.array_equal(single.values.values, expected)
+
+
+def test_local_likelihoods_match_per_user_loop_on_msmarco(msmarco_docs, msmarco_vocab):
+    rng = np.random.default_rng(3)
+    all_users_docs = sample_user_documents(msmarco_docs, 20, rng)
+    got = local_likelihoods(all_users_docs, msmarco_vocab, k=5)
+    for lk, docs in zip(got, all_users_docs):
+        expected = _reference_likelihood(docs, msmarco_vocab, 5, 0.0)
+        assert np.array_equal(lk.values.values, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,38 @@ def test_preprocess_token_invariants(text):
     assert preprocess(Document(id="0", raw_text=text), cfg).tokens == doc.tokens
 
 
+def _reference_clean_chunk(chunk):
+    # The per-character rule tokenize must reproduce: strip leading and
+    # trailing punctuation, then drop interior punctuation except hyphens.
+    def is_punct(ch):
+        return unicodedata.category(ch).startswith("P")
+
+    start, end = 0, len(chunk)
+    while start < end and is_punct(chunk[start]):
+        start += 1
+    while end > start and is_punct(chunk[end - 1]):
+        end -= 1
+    return "".join(ch for ch in chunk[start:end] if ch == "-" or not is_punct(ch))
+
+
+PUNCTUATED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(
+            categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Ll", "Lu", "Lo", "Mn", "Nd")
+        ),
+        st.sampled_from("- \t\n\u00a0\u2003\u00c9\u0130\u03a3\u00df"),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=80), PUNCTUATED_TEXT))
+def test_tokenize_matches_per_character_rule(text):
+    chunks = (_reference_clean_chunk(c) for c in text.lower().split())
+    assert tokenize(text) == tuple(t for t in chunks if t)
+
+
 # ---------------------------------------------------------------------------
 # primary keyword sets
 # ---------------------------------------------------------------------------

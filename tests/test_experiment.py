@@ -274,6 +274,16 @@ def test_cli_check_passes(capsys):
     assert "oracle check passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--agg", "mean"], ["--rounds", "2"]])
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_cli_check_agrees_with_run_oracle_match(tmp_path, extra, seed):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--seed", seed, "--out", str(out), *extra]) == 0
+    meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+    expected = 0 if meta["oracle_match"] else 1
+    assert cli.main(["check", "--seed", seed, *extra]) == expected
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli.main(
         ["run", "--seed", "0", "--corpus", str(tmp_path / "missing.txt"), "--out", "x"]
@@ -387,3 +397,18 @@ def test_cli_aggregate_bad_vector_file(tmp_path):
         ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", "x"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("bad_values", [[float("nan"), 0.5], [0.5, float("-inf")], 3.0])
+def test_cli_aggregate_rejects_malformed_values(tmp_path, capsys, bad_values):
+    vectors = tmp_path / "vectors.jsonl"
+    with open(vectors, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "u0", "values": [0.2, 0.4]}) + "\n")
+        handle.write(json.dumps({"id": "u1", "values": bad_values}) + "\n")
+    out = tmp_path / "agg"
+    rc = cli.main(["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "line 2" in err and "'u1'" in err
+    assert not out.exists()

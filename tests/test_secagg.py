@@ -235,9 +235,11 @@ def test_validation_boundary_inclusive():
 
 
 def test_validation_never_raises_on_nan():
-    agg = FeatureVector(values=np.array([np.nan]), bounds=(0.0, 1.0))
+    agg = FeatureVector(values=np.array([np.nan, 0.6, 0.6]), bounds=(0.0, 1.0))
     report = validate_aggregate(agg, 1, (0.0, 1.0))
     assert isinstance(report.ok, bool)
+    assert not report.ok
+    assert [j for j, _ in report.flagged] == [0]
 
 
 # ---------------------------------------------------------------------------
