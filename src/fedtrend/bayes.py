@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, VocabularyIndex, primary_keyword_set
-from .secagg import FeatureVector
+from .secagg import FeatureVector, frozen
 
 __all__ = [
     "LikelihoodVector",
@@ -26,6 +26,7 @@ __all__ = [
     "compute_prior",
     "local_likelihoods",
     "posterior_scores",
+    "round_to_grid",
     "update_prior",
 ]
 
@@ -40,15 +41,13 @@ class PriorDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=np.float64, copy=True)
-        if p.shape != (len(self.vocab),):
+        object.__setattr__(self, "p", frozen(self.p))
+        if self.p.shape != (len(self.vocab),):
             raise ValueError("prior length does not match vocabulary size")
-        if np.any(p < 0):
+        if np.any(self.p < 0):
             raise ValueError("prior probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > _SIMPLEX_TOLERANCE:
+        if abs(float(self.p.sum()) - 1.0) > _SIMPLEX_TOLERANCE:
             raise ValueError("prior probabilities must sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +63,9 @@ class PosteriorRanking:
     """Unnormalized posterior scores plus their deterministic rank order.
 
     ``order`` sorts scores non-increasingly; exactly equal scores appear in
-    lexicographic keyword order.
+    lexicographic keyword order.  ``posterior_scores`` orders by the exact
+    size of each product, so scores that underflowed to 0 or to a subnormal
+    still rank by likelihood times prior.
     """
 
     vocab: VocabularyIndex
@@ -73,14 +74,10 @@ class PosteriorRanking:
 
     @classmethod
     def from_scores(cls, vocab: VocabularyIndex, scores: np.ndarray) -> "PosteriorRanking":
-        scores = np.array(scores, dtype=np.float64, copy=True)
+        scores = frozen(scores)
         if scores.shape != (len(vocab),):
             raise ValueError("score length does not match vocabulary size")
-        order = tuple(
-            sorted(range(len(vocab)), key=lambda j: (-scores[j], vocab.keywords[j]))
-        )
-        scores.setflags(write=False)
-        return cls(vocab=vocab, scores=scores, order=order)
+        return cls(vocab, scores, _descending_order(vocab.keywords, scores, 1.0))
 
     def ranked_keywords(self) -> tuple[str, ...]:
         return tuple(self.vocab.keywords[j] for j in self.order)
@@ -91,6 +88,31 @@ class PosteriorRanking:
         if j is None:
             raise KeyError(keyword)
         return self.order.index(j) + 1
+
+
+def _descending_order(keywords, values, weights) -> tuple[int, ...]:
+    """Indices by non-increasing ``values * weights``, ties in keyword order.
+
+    Ranks on the rounded products, as stored in ``scores``, except that a
+    product that underflowed (nonzero factors, below the smallest normal
+    double) is compared by its exact value, which only ever splits ties of
+    the rounded products.
+    """
+    products = np.multiply(values, weights)
+    values, weights = np.broadcast_arrays(values, weights)
+    tiny = np.finfo(np.float64).tiny
+    underflowed = (products > -tiny) & (products < tiny) & (values != 0)
+    exact = {}  # j -> -(exact product) * 2**2148, an integer
+    for j in np.flatnonzero(underflowed).tolist():
+        # every double is an integer multiple of 2**-1074
+        (a, b), (c, d) = values[j].as_integer_ratio(), weights[j].as_integer_ratio()
+        exact[j] = -((a << 1074) // b) * ((c << 1074) // d)
+    return tuple(
+        sorted(
+            range(len(keywords)),
+            key=lambda j: (-products[j], exact.get(j, 0), keywords[j]),
+        )
+    )
 
 
 def compute_prior(vocab: VocabularyIndex) -> PriorDistribution:
@@ -183,10 +205,19 @@ def posterior_scores(
     """
     if len(aggregated_likelihood) != len(prior.vocab):
         raise ValueError("aggregated likelihood and prior use different vocabularies")
-    values = aggregated_likelihood.values
+    values = round_to_grid(aggregated_likelihood.values, resolution)
+    scores = values * prior.p
+    scores.setflags(write=False)
+    order = _descending_order(prior.vocab.keywords, values, prior.p)
+    return PosteriorRanking(vocab=prior.vocab, scores=scores, order=order)
+
+
+def round_to_grid(values: np.ndarray, resolution: float) -> np.ndarray:
+    """``values`` rounded onto a grid of pitch ``resolution``; unchanged
+    when ``resolution`` is 0."""
     if resolution > 0.0:
-        values = np.round(values / resolution) * resolution
-    return PosteriorRanking.from_scores(prior.vocab, values * prior.p)
+        return np.round(values / resolution) * resolution
+    return values
 
 
 def update_prior(posterior: PosteriorRanking) -> PriorDistribution:

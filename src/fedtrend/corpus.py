@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .secagg import frozen
+
 __all__ = [
     "CorpusFormatError",
     "CoreferenceHook",
@@ -84,16 +86,14 @@ class VocabularyIndex:
 
     def __init__(self, keywords: Sequence[str], idf: Sequence[float]):
         keywords = tuple(keywords)
-        idf_arr = np.asarray(idf, dtype=np.float64)
+        self.idf = idf_arr = frozen(idf)
         if len(keywords) != idf_arr.shape[0]:
             raise ValueError("keywords and idf must have the same length")
         if len(set(keywords)) != len(keywords):
             raise ValueError("vocabulary keywords must be unique")
         if idf_arr.size and (not np.all(np.isfinite(idf_arr)) or np.any(idf_arr < 0)):
             raise ValueError("idf values must be finite and nonnegative")
-        idf_arr.setflags(write=False)
         self.keywords = keywords
-        self.idf = idf_arr
         self._index = {kw: j for j, kw in enumerate(keywords)}
 
     def __len__(self) -> int:

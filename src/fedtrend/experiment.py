@@ -64,20 +64,18 @@ class ExperimentConfig:
             raise ConfigError("n_users must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if not self.share_range > 0:
-            raise ConfigError("share_range must be positive")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
         if self.aggregation not in ("sum", "mean"):
             raise ConfigError(f"unknown aggregation mode: {self.aggregation!r}")
         if self.oov not in ("drop", "max"):
             raise ConfigError(f"unknown oov policy: {self.oov!r}")
         if self.corpus_format not in ("lines", "jsonl"):
             raise ConfigError(f"unknown corpus format: {self.corpus_format!r}")
-        if self.delivery not in ("round_robin", "seeded_shuffle"):
-            raise ConfigError(f"unknown delivery schedule: {self.delivery!r}")
+        try:
+            self.round_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for label, path in (
             ("corpus", self.corpus_path),
             ("idf table", self.idf_path),
@@ -85,6 +83,12 @@ class ExperimentConfig:
         ):
             if not Path(path).is_file():
                 raise ConfigError(f"{label} not found: {path}")
+
+    def round_config(self) -> netsim.RoundConfig:
+        """Seed, share range and delivery schedule of every round."""
+        return netsim.RoundConfig(
+            seed=self.seed, share_range=self.share_range, delivery=self.delivery
+        )
 
 
 @dataclass
@@ -147,10 +151,28 @@ def sample_user_documents(
     return assignments
 
 
-def _quantize(values: np.ndarray, resolution: float) -> np.ndarray:
-    if resolution > 0.0:
-        return np.round(values / resolution) * resolution
-    return values
+def _rank_rounds(
+    cfg: ExperimentConfig,
+    aggregates: Sequence[np.ndarray],
+    prior: bayes.PriorDistribution,
+) -> list[bayes.PosteriorRanking]:
+    """One posterior ranking per round's aggregate.
+
+    Each aggregate is rounded onto the score grid (before any ``mean``
+    division) and ranked under the prior that the previous round's ranking
+    updated.  No update follows the last round: it would raise on all-zero
+    scores and nothing reads it.
+    """
+    rankings = []
+    for round_index, aggregate in enumerate(aggregates):
+        values = bayes.round_to_grid(aggregate, cfg.score_resolution)
+        if cfg.aggregation == "mean":
+            values = values / cfg.n_users
+        fv = secagg.FeatureVector(values=values, bounds=(0.0, float(cfg.n_users)))
+        rankings.append(bayes.posterior_scores(fv, prior))
+        if round_index + 1 < len(aggregates):
+            prior = bayes.update_prior(rankings[-1])
+    return rankings
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -169,7 +191,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     vocab = build_vocabulary(idf_table, documents, oov=cfg.oov)
 
     prior = bayes.compute_prior(vocab)
-    initial_prior = prior
 
     # The sampling stream is separated from the per-round protocol streams
     # by the extra entropy word.
@@ -178,10 +199,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     likelihoods = bayes.local_likelihoods(user_docs, vocab, k=cfg.k, alpha0=cfg.alpha0)
     secrets = [lk.values for lk in likelihoods]
 
-    round_cfg = netsim.RoundConfig(
-        seed=cfg.seed, share_range=cfg.share_range, delivery=cfg.delivery
-    )
-    posteriors: list[bayes.PosteriorRanking] = []
+    round_cfg = cfg.round_config()
+    aggregates: list[np.ndarray] = []
     messages: list[netsim.Message] = []
     aggregate = validation = None
     for round_index in range(cfg.rounds):
@@ -190,31 +209,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         validation = secagg.validate_aggregate(
             aggregate, cfg.n_users, secrets[0].bounds
         )
-        values = _quantize(aggregate.values, cfg.score_resolution)
-        if cfg.aggregation == "mean":
-            values = values / cfg.n_users
-        ranking = bayes.posterior_scores(
-            secagg.FeatureVector(values=values, bounds=aggregate.bounds), prior
-        )
-        posteriors.append(ranking)
-        if round_index + 1 < cfg.rounds:
-            prior = bayes.update_prior(ranking)
-
-    # Oracle mirrors the belief updates on the exact (share-free) aggregate:
-    # the same likelihood vectors, summed in ascending user order.
-    oracle_values = _quantize(
-        secagg.ordered_sum([s.values for s in secrets]), cfg.score_resolution
-    )
-    if cfg.aggregation == "mean":
-        oracle_values = oracle_values / cfg.n_users
-    oracle_fv = secagg.FeatureVector(
-        values=oracle_values, bounds=(0.0, float(cfg.n_users))
-    )
-    oracle_prior = initial_prior
-    oracle = bayes.posterior_scores(oracle_fv, oracle_prior)
-    for _ in range(1, cfg.rounds):
-        oracle_prior = bayes.update_prior(oracle)
-        oracle = bayes.posterior_scores(oracle_fv, oracle_prior)
+        aggregates.append(aggregate.values)
+    posteriors = _rank_rounds(cfg, aggregates, prior)
+    # The oracle takes the same belief updates on the exact (share-free)
+    # aggregate: the same likelihood vectors, summed in ascending user order.
+    exact = secagg.ordered_sum([s.values for s in secrets])
+    oracle = _rank_rounds(cfg, [exact] * cfg.rounds, prior)[-1]
 
     pooled_docs = [doc for docs in user_docs for doc in docs]
     count_ranking = baselines.rank_by_total_count(pooled_docs, vocab)
@@ -254,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         documents=documents,
         user_docs=user_docs,
         likelihoods=likelihoods,
-        initial_prior=initial_prior,
+        initial_prior=prior,
         aggregate=aggregate,
         validation=validation,
         posterior=final,

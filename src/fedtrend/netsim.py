@@ -72,9 +72,7 @@ class Message:
     payload: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.payload, dtype=np.float64, copy=True)
-        p.setflags(write=False)
-        object.__setattr__(self, "payload", p)
+        object.__setattr__(self, "payload", secagg.frozen(self.payload))
 
 
 @dataclass(frozen=True)
@@ -217,14 +215,38 @@ class AggregatorNode:
                 f"aggregator: received {msg.kind.value} message from {msg.sender}"
             )
         owner = int(msg.sender)
-        if owner in self.buffer or self.result is not None:
-            raise ProtocolViolation(f"aggregator: duplicate vector from {msg.sender}")
-        self.buffer[owner] = msg.payload
+        if owner in self.buffer or not 0 <= owner < self.n_users:
+            raise ProtocolViolation(
+                f"aggregator: unexpected or duplicate vector from {msg.sender}"
+            )
+        payload = msg.payload
+        first = next(iter(self.buffer.values()), payload)
+        if payload.shape != first.shape:
+            raise ProtocolViolation(
+                f"aggregator: vector from {msg.sender} has shape {payload.shape}, "
+                f"not {first.shape}"
+            )
+        if not np.all(np.isfinite(payload)):
+            raise ProtocolViolation(
+                f"aggregator: vector from {msg.sender} has a non-finite entry"
+            )
+        self.buffer[owner] = payload
         if len(self.buffer) == self.n_users:
             self.result = secagg.aggregate(
                 [ObfuscatedVector(owner=i, values=v) for i, v in self.buffer.items()],
                 per_user_bounds=self.per_user_bounds,
             )
+
+    def finish(self) -> FeatureVector:
+        """The aggregate; raises, naming the users whose vectors never came,
+        when the round ends early."""
+        if self.result is None:
+            missing = [i for i in range(self.n_users) if i not in self.buffer]
+            raise ProtocolViolation(
+                "aggregator: round ended without all obfuscated vectors; "
+                f"missing users {', '.join(map(str, missing))}"
+            )
+        return self.result
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +295,7 @@ def _execute_round(users, secrets, cfg, round_index, deliver_rng):
         delivered.append(msg)
         aggregator.receive(msg)
 
-    result = aggregator.result
-    if result is None:
-        raise ProtocolViolation("aggregator: round ended without all obfuscated vectors")
+    result = aggregator.finish()
 
     broadcasts = [
         [Message(round_index, AGGREGATOR_ID, u.id, MessageKind.AGGREGATE, result.values)]
@@ -515,7 +535,7 @@ def load_transcript(path: str | Path) -> Transcript:
                     sender=rec["from"],
                     receiver=rec["to"],
                     kind=MessageKind(rec["kind"]),
-                    payload=np.asarray(rec["payload"], dtype=np.float64),
+                    payload=rec["payload"],
                 )
             )
     return Transcript(

@@ -8,6 +8,16 @@ cancellation error, while no single message reveals a raw vector.
 
 All multi-vector sums run in ascending index order so every result is
 bit-reproducible for a given seed.
+
+Arrays have one owner: the code that makes an array freezes it once, in
+place, and every consumer shares it by reference.  Each class that keeps
+an array (the vectors here, ``netsim.Message``, the ``bayes`` prior and
+ranking, ``corpus.VocabularyIndex``) stores ``frozen(values)``, which
+copies only when a writable array can still reach that memory: the array
+itself or any ndarray on its ``.base`` chain is writable, or the chain ends
+in a buffer other than ``bytes``.  A writable view taken before its base
+was frozen is invisible to that test, so producers freeze only arrays they
+have just made.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "SystemEntropySource",
     "aggregate",
     "combine_received",
+    "frozen",
     "make_shares",
     "ordered_sum",
     "seeded_rng",
@@ -39,6 +50,19 @@ RNG_NAME = "pcg64"
 
 DEFAULT_SHARE_RANGE = 100.0
 DEFAULT_VALIDATION_TOLERANCE = 1e-6
+
+
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array; see the module docstring."""
+    node = values
+    while isinstance(node, np.ndarray) and not node.flags.writeable:
+        node = node.base
+    if (node is None or type(node) is bytes) and type(values) is np.ndarray:
+        if values.dtype == np.float64:
+            return values
+    values = np.array(values, dtype=np.float64)
+    values.setflags(write=False)
+    return values
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -68,11 +92,9 @@ class FeatureVector:
     bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1:
+        object.__setattr__(self, "values", frozen(self.values))
+        if self.values.ndim != 1:
             raise ValueError("feature vector must be one-dimensional")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
         a, b = self.bounds
         if not a <= b:
             raise ValueError(f"invalid bounds: ({a}, {b})")
@@ -96,9 +118,7 @@ class ShareSet:
     share_range: float
 
     def __post_init__(self):
-        s = np.array(self.shares, dtype=np.float64, copy=True)
-        s.setflags(write=False)
-        object.__setattr__(self, "shares", s)
+        object.__setattr__(self, "shares", frozen(self.shares))
 
     @property
     def n_users(self) -> int:
@@ -121,13 +141,11 @@ class ObfuscatedVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", frozen(self.values))
 
 
 def ordered_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
-    """Strict left-to-right sum; callers pass vectors in ascending id order."""
+    """Strict left-to-right sum, read-only; callers pass vectors in ascending id order."""
     iterator = iter(vectors)
     try:
         total = np.array(next(iterator), dtype=np.float64, copy=True)
@@ -135,6 +153,7 @@ def ordered_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
         raise ValueError("ordered_sum needs at least one vector") from None
     for vec in iterator:
         total += vec
+    total.setflags(write=False)
     return total
 
 
@@ -170,6 +189,7 @@ def make_shares(
         shares[owner] = v.values - ordered_sum(randoms)
     else:
         shares[owner] = v.values
+    shares.setflags(write=False)
     return ShareSet(owner=owner, shares=shares, share_range=share_range)
 
 

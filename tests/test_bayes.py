@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedtrend.bayes import (
@@ -287,15 +287,21 @@ def test_two_round_product_oracle():
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=8),
     st.floats(min_value=-6.0, max_value=6.0),
 )
+@example(values=[0.0, 0.0, 5e-324], log_c=1.0)  # 5e-324 * prior underflows to 0
 def test_scaling_invariance_of_rank(values, log_c):
     c = 10.0**log_c
     vocab = vocab_of(*((f"k{i:02d}", float(i + 1)) for i in range(len(values))))
     prior = compute_prior(vocab)
     base = np.asarray(values)
-    r1 = posterior_scores(FeatureVector(values=base, bounds=(0.0, 1.0)), prior)
-    r2 = posterior_scores(
-        FeatureVector(values=c * base, bounds=(0.0, float(c))), prior
+    scaled = c * base
+    # Scaling itself can underflow or merge values ([0, 5e-324] * 0.1 is
+    # [0, 0]); then the two calls rank different vectors.
+    assume(np.array_equal(scaled == 0, base == 0))
+    assume(
+        np.array_equal(np.argsort(scaled, kind="stable"), np.argsort(base, kind="stable"))
     )
+    r1 = posterior_scores(FeatureVector(values=base, bounds=(0.0, 1.0)), prior)
+    r2 = posterior_scores(FeatureVector(values=scaled, bounds=(0.0, float(c))), prior)
     assert r1.order == r2.order
 
 

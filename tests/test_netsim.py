@@ -116,6 +116,26 @@ def test_no_phantom_knowledge():
         assert user.result is not None
 
 
+def test_honest_round_shares_payloads_by_reference():
+    from fedtrend.netsim import _execute_round, _spawn_rngs
+
+    n = 4
+    secrets = random_secrets(n, 5, seed=6)
+    cfg = RoundConfig(seed=6)
+    user_rngs, deliver_rng = _spawn_rngs(cfg, 0, n)
+    users = [UserNode(i, secrets[i], n, cfg.share_range, user_rngs[i]) for i in range(n)]
+    result, transcript = _execute_round(users, secrets, cfg, 0, deliver_rng)
+    shares = [m for m in transcript.messages if m.kind is MessageKind.SHARE]
+    assert len(shares) == n * (n - 1)
+    for msg in shares:
+        # a row view of the sender's frozen share set, not a copy
+        assert msg.payload.base is users[int(msg.sender)].kept.base
+    broadcast = [m.payload for m in transcript.messages if m.kind is MessageKind.AGGREGATE]
+    assert len(broadcast) == n
+    assert all(payload is result.values for payload in broadcast)
+    assert all(user.result.values is result.values for user in users)
+
+
 # ---------------------------------------------------------------------------
 # state machine violations
 # ---------------------------------------------------------------------------
@@ -130,27 +150,99 @@ def share_msg(sender, receiver, payload=(0.0,)):
     return Message(0, str(sender), str(receiver), MessageKind.SHARE, np.asarray(payload))
 
 
-def test_user_rejects_share_before_start():
-    user = make_user()
-    with pytest.raises(ProtocolViolation, match="user 0"):
-        user.receive_share(share_msg(1, 0))
+def obfuscated_msg(sender, payload=(0.5,)):
+    return Message(
+        0, str(sender), AGGREGATOR_ID, MessageKind.OBFUSCATED, np.asarray(payload)
+    )
 
 
-def test_user_rejects_duplicate_share():
+def share_before_start():
+    make_user().receive_share(share_msg(1, 0))
+
+
+def duplicate_share():
     user = make_user()
     user.start(0)
     user.receive_share(share_msg(1, 0))
-    with pytest.raises(ProtocolViolation, match="duplicate"):
-        user.receive_share(share_msg(1, 0))
+    user.receive_share(share_msg(1, 0))
 
 
-def test_user_rejects_share_after_obfuscating():
+def share_after_obfuscating():
     user = make_user(n_users=2)
     user.start(0)
     out = user.receive_share(share_msg(1, 0))
     assert out is not None and out.kind is MessageKind.OBFUSCATED
-    with pytest.raises(ProtocolViolation):
-        user.receive_share(share_msg(1, 0))
+    user.receive_share(share_msg(1, 0))
+
+
+class SilentUser(UserNode):
+    def _maybe_obfuscate(self, round_no):
+        return None
+
+
+def round_with_silent_user(silent=1, n=3):
+    from fedtrend.netsim import _execute_round, _spawn_rngs
+
+    secrets = random_secrets(n, 2, seed=0)
+    cfg = RoundConfig(seed=0)
+    user_rngs, deliver_rng = _spawn_rngs(cfg, 0, n)
+    users = [
+        (SilentUser if i == silent else UserNode)(
+            i, secrets[i], n, cfg.share_range, user_rngs[i]
+        )
+        for i in range(n)
+    ]
+    _execute_round(users, secrets, cfg, 0, deliver_rng)
+
+
+def aggregator_fed(*messages, n_users=3):
+    agg = AggregatorNode(n_users, per_user_bounds=(0.0, 1.0))
+    for msg in messages:
+        agg.receive(msg)
+    return agg
+
+
+PROTOCOL_FAULTS = {
+    "share_before_start": (share_before_start, r"^user 0: share received"),
+    "duplicate_share": (duplicate_share, r"^user 0: .*duplicate share from 1$"),
+    "share_after_obfuscating": (share_after_obfuscating, r"^user 0: .*phase Obfuscated"),
+    "share_to_aggregator": (
+        lambda: aggregator_fed(share_msg(0, AGGREGATOR_ID)),
+        r"^aggregator: received Share message from 0$",
+    ),
+    "duplicate_vector": (
+        lambda: aggregator_fed(obfuscated_msg(1), obfuscated_msg(1)),
+        r"duplicate vector from 1$",
+    ),
+    "unknown_sender": (lambda: aggregator_fed(obfuscated_msg(3)), r"vector from 3$"),
+    "nan": (
+        lambda: aggregator_fed(obfuscated_msg(0), obfuscated_msg(2, [np.nan])),
+        r"vector from 2 has a non-finite entry",
+    ),
+    "inf": (
+        lambda: aggregator_fed(obfuscated_msg(1, [-np.inf])),
+        r"vector from 1 has a non-finite entry",
+    ),
+    "wrong_length": (
+        lambda: aggregator_fed(obfuscated_msg(0), obfuscated_msg(2, [0.5, 0.5])),
+        r"vector from 2 has shape \(2,\), not \(1,\)",
+    ),
+    "missing_vector": (
+        round_with_silent_user,
+        r"without all obfuscated vectors; missing users 1$",
+    ),
+    "missing_vectors": (
+        lambda: aggregator_fed(obfuscated_msg(1), n_users=4).finish(),
+        r"missing users 0, 2, 3$",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(PROTOCOL_FAULTS))
+def test_protocol_violation_names_node(fault):
+    action, names_node = PROTOCOL_FAULTS[fault]
+    with pytest.raises(ProtocolViolation, match=names_node):
+        action()
 
 
 def test_user_rejects_double_start():
@@ -158,20 +250,6 @@ def test_user_rejects_double_start():
     user.start(0)
     with pytest.raises(ProtocolViolation, match="start"):
         user.start(0)
-
-
-def test_aggregator_rejects_share_messages():
-    agg = AggregatorNode(2, per_user_bounds=(0.0, 1.0))
-    with pytest.raises(ProtocolViolation, match="aggregator"):
-        agg.receive(share_msg(0, AGGREGATOR_ID))
-
-
-def test_aggregator_rejects_duplicates():
-    agg = AggregatorNode(3, per_user_bounds=(0.0, 1.0))
-    msg = Message(0, "1", AGGREGATOR_ID, MessageKind.OBFUSCATED, np.zeros(1))
-    agg.receive(msg)
-    with pytest.raises(ProtocolViolation, match="duplicate"):
-        agg.receive(msg)
 
 
 # ---------------------------------------------------------------------------

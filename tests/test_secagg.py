@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedtrend.bayes import PosteriorRanking, PriorDistribution
+from fedtrend.corpus import VocabularyIndex
+from fedtrend.netsim import Message, MessageKind
 from fedtrend.secagg import (
     FeatureVector,
     ObfuscatedVector,
+    ShareSet,
     SystemEntropySource,
     aggregate,
     combine_received,
+    frozen,
     make_shares,
     ordered_sum,
     seeded_rng,
@@ -251,3 +256,76 @@ def test_vector_bytes_roundtrip():
     values = np.array([0.1, -0.25, 1e-300, 7.0])
     assert np.array_equal(vector_from_bytes(vector_to_bytes(values)), values)
     assert len(vector_to_bytes(values)) == 32
+
+
+# ---------------------------------------------------------------------------
+# frozen: every class that keeps an array, and who may still write it
+# ---------------------------------------------------------------------------
+
+VOCAB = VocabularyIndex(["a", "b"], [1.0, 3.0])
+
+#: Each class that keeps an array, as a function from array to kept array.
+KEEPERS = {
+    "frozen": frozen,
+    "FeatureVector": lambda a: FeatureVector(values=a).values,
+    "ShareSet": lambda a: ShareSet(owner=0, shares=a, share_range=1.0).shares,
+    "ObfuscatedVector": lambda a: ObfuscatedVector(owner=0, values=a).values,
+    "Message": lambda a: Message(0, "0", "1", MessageKind.SHARE, a).payload,
+    "PriorDistribution": lambda a: PriorDistribution(vocab=VOCAB, p=a).p,
+    "PosteriorRanking": lambda a: PosteriorRanking.from_scores(VOCAB, a).scores,
+    "VocabularyIndex": lambda a: VocabularyIndex(["a", "b"], a).idf,
+}
+
+
+def writable(buffer):
+    return np.frombuffer(buffer)
+
+
+def read_only_view(buffer):
+    view = np.frombuffer(buffer)[:]
+    view.setflags(write=False)
+    return view
+
+
+def read_only_over_bytearray(buffer):
+    array = np.frombuffer(buffer)
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("keeper", list(KEEPERS))
+@pytest.mark.parametrize("source", [writable, read_only_view, read_only_over_bytearray])
+def test_kept_array_is_copied_while_writable_memory_reaches_it(keeper, source):
+    buffer = bytearray(np.array([0.25, 0.75]).tobytes())
+    kept = KEEPERS[keeper](source(buffer))
+    np.frombuffer(buffer)[0] = 0.5  # write the source memory
+    assert kept[0] == 0.25
+    assert not kept.flags.writeable
+
+
+def frozen_array():
+    array = np.array([0.25, 0.75])
+    array.setflags(write=False)
+    return array
+
+
+def frozen_view():
+    return frozen_array()[:]
+
+
+def over_bytes():
+    return np.frombuffer(np.array([0.25, 0.75]).tobytes())
+
+
+@pytest.mark.parametrize("keeper", list(KEEPERS))
+@pytest.mark.parametrize("source", [frozen_array, frozen_view, over_bytes])
+def test_frozen_array_is_shared(keeper, source):
+    array = source()
+    assert np.shares_memory(KEEPERS[keeper](array), array)
+
+
+def test_vocabulary_leaves_caller_idf_writable():
+    idf = np.array([1.0, 2.0])
+    vocab = VocabularyIndex(["a", "b"], idf)
+    idf[0] = 5.0
+    assert vocab.idf[0] == 1.0
