@@ -1,8 +1,9 @@
 """Split a bounded vector into additive shares and put it back together.
 
 No single share says anything about the secret: the off-diagonal shares
-are uniform noise in [-D, D] and the kept share is the residual.  Summing
-all of them cancels the noise exactly up to double rounding.
+are uniform noise in [-D, D] and the kept share is the residual.  Shares
+are points of a 2^-f grid, so summing all of them cancels the noise
+exactly and gives the secret as rounded onto that grid.
 """
 
 import numpy as np
@@ -21,8 +22,9 @@ for k in range(1, n_users):
 total = secagg.ordered_sum(shares.shares)
 print("\nsum of shares: ", total)
 print("max |error|:   ", np.max(np.abs(total - secret.values)))
+print("== encoded:    ", np.array_equal(total, secagg.encode(secret, n_users, share_range)))
 
-# scale of the cancellation error across many draws
+# the only error is the one rounding onto the grid, at most 2^-(f+1)
 errors = []
 for seed in range(200):
     s = secagg.make_shares(secret, n_users, share_range, rng=secagg.seeded_rng(seed))

@@ -30,10 +30,12 @@ __all__ = [
     "write_outputs",
 ]
 
-#: Grid pitch used to round secure aggregates before ranking.  Sits far
-#: above the protocol's reconstruction error (~1e-13 at D=100, N=10) and
-#: far below any genuine score separation, so mathematically tied
-#: coordinates stay tied after the noisy aggregation.
+#: Grid pitch used to round aggregates before ranking.  The federated
+#: aggregate and the oracle are the same exact sum of encoded likelihoods,
+#: so this grid does not decide oracle agreement.  It keeps rationally tied
+#: coordinates (1/3 + 1/6 against 1/2) tied: after per-user rounding onto
+#: ``secagg``'s 2**-f grid such sums can differ by a few 2**-f steps, far
+#: below this pitch and below any genuine score separation.
 DEFAULT_SCORE_RESOLUTION = 1e-9
 
 
@@ -211,9 +213,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         aggregates.append(aggregate.values)
     posteriors = _rank_rounds(cfg, aggregates, prior)
-    # The oracle takes the same belief updates on the exact (share-free)
-    # aggregate: the same likelihood vectors, summed in ascending user order.
-    exact = secagg.ordered_sum([s.values for s in secrets])
+    # The oracle takes the same belief updates on the share-free aggregate:
+    # the exact sum of the same encoded likelihoods, which an honest round's
+    # aggregate equals bit for bit.
+    exact = secagg.exact_sum(
+        [secagg.encode(s, cfg.n_users, cfg.share_range) for s in secrets]
+    )
     oracle = _rank_rounds(cfg, [exact] * cfg.rounds, prior)[-1]
 
     pooled_docs = [doc for docs in user_docs for doc in docs]

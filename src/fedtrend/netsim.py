@@ -10,12 +10,14 @@ transcript for privacy and conformance checks.
 
 Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate itself is invariant
-to delivery order because all sums run in ascending node-id order.
+to delivery order because every sum of the round is exact on ``secagg``'s
+grid, so nodes add what they receive in the order it arrives.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -98,8 +100,8 @@ class RoundConfig:
     def __post_init__(self):
         if self.delivery not in ("round_robin", "seeded_shuffle"):
             raise ValueError(f"unknown delivery schedule: {self.delivery!r}")
-        if not self.share_range > 0:
-            raise ValueError("share_range must be positive")
+        if not 0 < self.share_range < math.inf:
+            raise ValueError("share_range must be positive and finite")
         if int(self.seed) < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -109,6 +111,19 @@ class _Phase(Enum):
     SHARES_SENT = "SharesSent"
     OBFUSCATED = "Obfuscated"
     DONE = "Done"
+
+
+def _user_index(sender: str, n_users: int) -> int | None:
+    """The index of the user of the round that ``sender`` names, else None."""
+    index = int(sender) if str(sender).isdecimal() else -1
+    return index if 0 <= index < n_users else None
+
+
+def _check_shape(node: str, what: str, msg: Message, shape: tuple) -> None:
+    if msg.payload.shape != shape:
+        raise ProtocolViolation(
+            f"{node}: {what} from {msg.sender} has shape {msg.payload.shape}, not {shape}"
+        )
 
 
 class UserNode:
@@ -162,11 +177,12 @@ class UserNode:
             raise ProtocolViolation(
                 f"user {self.id}: share received in phase {self.phase.value}"
             )
-        sender = int(msg.sender)
-        if sender == self.index or sender in self.received:
+        sender = _user_index(msg.sender, self.n_users)
+        if sender is None or sender == self.index or sender in self.received:
             raise ProtocolViolation(
                 f"user {self.id}: unexpected or duplicate share from {msg.sender}"
             )
+        _check_shape(f"user {self.id}", "share", msg, self.kept.shape)
         self.received[sender] = msg.payload
         return self._maybe_obfuscate(msg.round)
 
@@ -174,10 +190,16 @@ class UserNode:
         if len(self.received) != self.n_users - 1:
             return None
         combined = secagg.combine_received(
-            self.kept,
-            [self.received[k] for k in sorted(self.received)],
-            owner=self.index,
+            self.kept, list(self.received.values()), owner=self.index
         )
+        # a non-finite entry in any share makes the sum non-finite, so one
+        # check of the sum covers every share before anything is sent
+        if not np.isfinite(combined.values).all():
+            for sender, share in self.received.items():
+                if not np.isfinite(share).all():
+                    raise ProtocolViolation(
+                        f"user {self.id}: share from {sender} has a non-finite entry"
+                    )
         self.phase = _Phase.OBFUSCATED
         return Message(
             round_no,
@@ -214,23 +236,18 @@ class AggregatorNode:
             raise ProtocolViolation(
                 f"aggregator: received {msg.kind.value} message from {msg.sender}"
             )
-        owner = int(msg.sender)
-        if owner in self.buffer or not 0 <= owner < self.n_users:
+        owner = _user_index(msg.sender, self.n_users)
+        if owner is None or owner in self.buffer:
             raise ProtocolViolation(
                 f"aggregator: unexpected or duplicate vector from {msg.sender}"
             )
-        payload = msg.payload
-        first = next(iter(self.buffer.values()), payload)
-        if payload.shape != first.shape:
-            raise ProtocolViolation(
-                f"aggregator: vector from {msg.sender} has shape {payload.shape}, "
-                f"not {first.shape}"
-            )
-        if not np.all(np.isfinite(payload)):
+        first = next(iter(self.buffer.values()), msg.payload)
+        _check_shape("aggregator", "vector", msg, first.shape)
+        if not np.isfinite(msg.payload).all():
             raise ProtocolViolation(
                 f"aggregator: vector from {msg.sender} has a non-finite entry"
             )
-        self.buffer[owner] = payload
+        self.buffer[owner] = msg.payload
         if len(self.buffer) == self.n_users:
             self.result = secagg.aggregate(
                 [ObfuscatedVector(owner=i, values=v) for i, v in self.buffer.items()],
@@ -290,7 +307,6 @@ def _execute_round(users, secrets, cfg, round_index, deliver_rng):
         if reply is not None:
             obfuscated.append(reply)
 
-    obfuscated.sort(key=lambda m: int(m.sender))
     for msg in _schedule([[m] for m in obfuscated], cfg.delivery, deliver_rng):
         delivered.append(msg)
         aggregator.receive(msg)
@@ -369,11 +385,11 @@ class _OutOfRangeShareUser(UserNode):
         honest = super()._create_shares()
         shares = honest.shares.copy()
         target = next(k for k in range(self.n_users) if k != self.index)
-        shares[target, self._coordinate] = 2.0 * self.share_range
-        # recompute the residual so the share sum stays consistent; only the
-        # per-message range check should trip
-        others = [k for k in range(self.n_users) if k != self.index]
-        shares[self.index] = self.secret.values - secagg.ordered_sum(shares[others])
+        # move the excess into the kept share so the share sum stays
+        # consistent; only the per-message range check should trip
+        excess = 2.0 * self.share_range - shares[target, self._coordinate]
+        shares[target, self._coordinate] += excess
+        shares[self.index, self._coordinate] -= excess
         return secagg.ShareSet(
             owner=self.index, shares=shares, share_range=self.share_range
         )
@@ -450,11 +466,14 @@ def transcript_privacy_check(
 
     Checks that (i) no payload delivered to the aggregator equals any
     user's raw vector, (ii) every user-to-user share lies in [-D, D]^d, and
-    (iii) no node other than user i ever observes user i's raw vector.
+    (iii) no node other than user i ever observes user i's raw vector.  A
+    raw vector counts both as given and as the round's grid encodes it.
     """
     d = transcript.share_range
     secret_owner = {
-        _canonical_bytes(s.values): str(i) for i, s in enumerate(secrets)
+        _canonical_bytes(values): str(i)
+        for i, s in enumerate(secrets)
+        for values in (s.values, secagg.encode(s, transcript.n_users, d))
     }
     violations: list[tuple[int, str]] = []
     for idx, msg in enumerate(transcript.messages):

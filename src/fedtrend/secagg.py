@@ -3,11 +3,20 @@
 A user's length-d vector is split into N shares: N-1 drawn uniformly from
 [-D, D]^d and a residual share that makes the shares sum back to the
 vector.  Summing every user's combined (obfuscated) vector therefore
-reproduces the sum of the original vectors, up to floating-point
-cancellation error, while no single message reveals a raw vector.
+reproduces the sum of the vectors, while no single message reveals a raw
+vector.
 
-All multi-vector sums run in ascending index order so every result is
-bit-reproducible for a given seed.
+Every payload of a round lies on one dyadic grid: it is an exact double
+k * 2**-f.  ``grid_bits`` derives f from N, D and the per-user bounds (a, b)
+as the largest f with N * (2D + max(|a|, |b|)) * 2**f < 2**53, which bounds
+the encoded vector, the kept residual, the obfuscated vector and the
+aggregate.  ``encode`` rounds a vector onto the grid once (an error of at
+most 2**-(f+1) per entry); shares are uniform grid points in [-D, D].  Each
+partial sum of a user's shares is then an integer multiple of 2**-f below
+2**53 of them, so double addition is exact in any order, and the
+correctly rounded ``exact_sum`` gives the aggregate exactly whatever the
+order of its vectors.  The aggregate equals the exact sum of the encoded
+vectors.
 
 Arrays have one owner: the code that makes an array freezes it once, in
 place, and every consumer shares it by reference.  Each class that keeps
@@ -22,6 +31,7 @@ have just made.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,7 +46,10 @@ __all__ = [
     "SystemEntropySource",
     "aggregate",
     "combine_received",
+    "encode",
+    "exact_sum",
     "frozen",
+    "grid_bits",
     "make_shares",
     "ordered_sum",
     "seeded_rng",
@@ -73,15 +86,22 @@ def seeded_rng(seed: int) -> np.random.Generator:
 class SystemEntropySource:
     """Non-deterministic share randomness drawn from the OS entropy pool.
 
-    Drop-in for the ``uniform`` surface of ``numpy.random.Generator``;
-    meant for production rounds where seeds must not be reused.
+    Drop-in for the ``integers`` surface of ``numpy.random.Generator`` that
+    ``make_shares`` uses; meant for production rounds where seeds must not
+    be reused.
     """
 
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
+    def integers(self, low: int, high: int, size) -> np.ndarray:
+        """Uniform int64 in [low, high).  Unbiased: each draw keeps the low
+        bits that cover the span, and draws that land past it are redrawn."""
+        span = high - low
+        mask = np.uint64((1 << (span - 1).bit_length()) - 1)
         n = int(np.prod(size))
-        raw = np.frombuffer(os.urandom(8 * n), dtype=np.uint64)
-        unit = (raw >> np.uint64(11)) * 2.0**-53  # 53-bit uniform in [0, 1)
-        return (low + unit * (high - low)).reshape(size)
+        out = np.empty(0, dtype=np.uint64)
+        while out.size < n:
+            raw = np.frombuffer(os.urandom(8 * (n - out.size)), dtype=np.uint64) & mask
+            out = np.concatenate([out, raw[raw < span]])
+        return (out.astype(np.int64) + low).reshape(size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +164,50 @@ class ObfuscatedVector:
         object.__setattr__(self, "values", frozen(self.values))
 
 
+def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> int:
+    """Bits f of a round's grid 2**-f: the largest f with
+    ``n_users * (2 * share_range + max(|a|, |b|)) * 2**f < 2**53``."""
+    a, b = bounds
+    # N * (2D + M) = 2N * (D + M/2): adding the exponents of the two factors
+    # keeps every intermediate finite
+    mantissa, exponent = math.frexp(share_range + max(abs(a), abs(b)) / 2)
+    return 52 - exponent - math.frexp(n_users * mantissa)[1]
+
+
+def encode(v: FeatureVector, n_users: int, share_range: float) -> np.ndarray:
+    """``v`` rounded onto the grid of a round of ``n_users`` with share
+    range ``share_range``, read-only: what that round's shares sum to."""
+    f = grid_bits(n_users, share_range, v.bounds)
+    return frozen(np.ldexp(np.round(np.ldexp(v.values, f)), -f))
+
+
+def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinate-wise correctly rounded sum, read-only: it does not depend
+    on the order of ``vectors``, and it is exact whenever the exact sum is a
+    double, as it is on a round's grid.
+
+    Sums left to right, with Knuth's two-sum error of every addition; a
+    coordinate where some addition rounded is summed again by ``math.fsum``.
+    A coordinate whose sum overflows keeps the left-to-right result.
+    """
+    total = np.array(vectors[0], dtype=np.float64)
+    rounded = np.zeros(total.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays inf
+        for vec in vectors[1:]:
+            partial = total + vec
+            back = partial - total
+            rounded |= (total - (partial - back)) + (vec - back) != 0
+            total = partial
+    redo = np.flatnonzero(rounded & np.isfinite(total))
+    if redo.size:
+        columns = np.stack([np.asarray(vec)[redo] for vec in vectors], axis=1)
+        total[redo] = [math.fsum(column.tolist()) for column in columns]
+    total.setflags(write=False)
+    return total
+
+
 def ordered_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
-    """Strict left-to-right sum, read-only; callers pass vectors in ascending id order."""
+    """Strict left-to-right sum of doubles, read-only."""
     iterator = iter(vectors)
     try:
         total = np.array(next(iterator), dtype=np.float64, copy=True)
@@ -164,31 +226,27 @@ def make_shares(
     rng: np.random.Generator | SystemEntropySource | None = None,
     owner: int = 0,
 ) -> ShareSet:
-    """Split ``v`` into ``n_users`` additive shares.
+    """Split ``v`` into ``n_users`` additive shares on the round's grid.
 
-    The ``n_users - 1`` off-diagonal shares are i.i.d. uniform in
-    [-share_range, share_range]; the owner's diagonal share is the residual
-    ``v - sum(randoms)`` with the sum taken in ascending recipient order.
+    The ``n_users - 1`` off-diagonal shares are i.i.d. uniform grid points
+    in [-share_range, share_range]; the owner's diagonal share is the
+    residual that makes the shares sum exactly to ``encode(v, ...)``.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    if not share_range > 0:
-        raise ValueError("share_range must be positive")
+    if not 0 < share_range < math.inf:
+        raise ValueError("share_range must be positive and finite")
     if not 0 <= owner < n_users:
         raise ValueError(f"owner {owner} out of range for {n_users} users")
     if not np.all(np.isfinite(v.values)):
         raise ValueError("feature vector entries must be finite")
     if rng is None:
         rng = seeded_rng(0)
-    d = len(v)
-    shares = np.empty((n_users, d), dtype=np.float64)
-    others = [k for k in range(n_users) if k != owner]
-    randoms = rng.uniform(-share_range, share_range, size=(n_users - 1, d))
-    if others:
-        shares[others] = randoms
-        shares[owner] = v.values - ordered_sum(randoms)
-    else:
-        shares[owner] = v.values
+    f = grid_bits(n_users, share_range, v.bounds)
+    width = math.floor(math.ldexp(share_range, f))
+    # a grid point in every row; the owner's row then becomes the residual
+    shares = np.ldexp(rng.integers(-width, width + 1, size=(n_users, len(v))), -f)
+    shares[owner] = encode(v, n_users, share_range) - (shares.sum(axis=0) - shares[owner])
     shares.setflags(write=False)
     return ShareSet(owner=owner, shares=shares, share_range=share_range)
 
@@ -196,8 +254,7 @@ def make_shares(
 def combine_received(
     kept: np.ndarray, received: Sequence[np.ndarray], owner: int = 0
 ) -> ObfuscatedVector:
-    """Kept share plus received shares; pass ``received`` in ascending
-    sender-id order so the sum is reproducible."""
+    """Kept share plus received shares, exact in any order on the grid."""
     kept = np.asarray(kept, dtype=np.float64)
     for vec in received:
         if np.asarray(vec).shape != kept.shape:
@@ -209,20 +266,19 @@ def aggregate(
     obfuscated: Sequence[ObfuscatedVector],
     per_user_bounds: tuple[float, float] = (0.0, 1.0),
 ) -> FeatureVector:
-    """Coordinate-wise sum of all obfuscated vectors, ascending owner order.
+    """Coordinate-wise ``exact_sum`` of all obfuscated vectors, in any order.
 
-    By the share-cancellation identity this reproduces the sum of the raw
-    vectors up to floating-point error; bounds widen to (N*a, N*b).
+    By the share-cancellation identity this is the exact sum of the encoded
+    vectors; bounds widen to (N*a, N*b).
     """
     if not obfuscated:
         raise ValueError("nothing to aggregate")
-    ordered = sorted(obfuscated, key=lambda o: o.owner)
-    dims = {o.values.shape[0] for o in ordered}
+    dims = {o.values.shape[0] for o in obfuscated}
     if len(dims) != 1:
         raise ValueError("obfuscated vectors disagree on dimension")
-    n = len(ordered)
+    n = len(obfuscated)
     a, b = per_user_bounds
-    total = ordered_sum([o.values for o in ordered])
+    total = exact_sum([o.values for o in obfuscated])
     return FeatureVector(values=total, bounds=(n * a, n * b))
 
 

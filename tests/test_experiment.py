@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtrend import baselines, cli, corpus, netsim
 from fedtrend.experiment import (
@@ -150,6 +152,18 @@ def test_experiment_two_rounds_matches_product_oracle(experiment_config):
     assert list(result.posterior.order) == oracle_order
 
 
+def test_oracle_sums_the_encoded_likelihoods(experiment_config):
+    # at D = 1e12 with 60 users the grid step is 2**-6, so encoding visibly
+    # moves the likelihoods; the oracle sums the same encodings
+    result = run_experiment(experiment_config(seed=2, n_users=60, share_range=1e12))
+    assert result.posterior.scores.tobytes() == result.oracle.scores.tobytes()
+    raw = baselines.centralized_oracle(
+        result.user_docs, result.vocab, k=5, prior=result.initial_prior,
+        resolution=result.config.score_resolution,
+    )
+    assert raw.scores.tobytes() != result.oracle.scores.tobytes()
+
+
 def test_experiment_round_one_prior_reinforcement(experiment_config):
     # The round-1 winner ranks at least as high in the round-2 posterior as
     # it does under a uniform-prior reference (likelihood-only ranking).
@@ -274,6 +288,45 @@ def test_cli_check_passes(capsys):
     assert "oracle check passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("users", ["10", "45", "150"])
+@pytest.mark.parametrize("share_range", ["1e2", "1e4", "1e6"])
+def test_cli_check_passes_across_share_ranges(capsys, users, share_range):
+    for seed in range(5):
+        argv = ["check", "--users", users, "--share-range", share_range, "--seed", str(seed)]
+        assert cli.main(argv) == 0, f"seed {seed}"
+
+
+def test_cli_check_survives_exact_zero_coordinates(capsys):
+    # float shares once pushed an exactly-zero coordinate below zero here,
+    # and the second round's prior rejected it
+    argv = ["check", "--users", "55", "--k", "6", "--share-range", "13801.6",
+            "--seed", "984", "--rounds", "3", "--delivery", "seeded_shuffle"]
+    assert cli.main(argv) == 0
+    assert "oracle check passed" in capsys.readouterr().out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_users=st.integers(min_value=1, max_value=60),
+    log_d=st.floats(min_value=0.0, max_value=8.0),
+    k=st.integers(min_value=1, max_value=8),
+    rounds=st.integers(min_value=1, max_value=3),
+    aggregation=st.sampled_from(["sum", "mean"]),
+    oov=st.sampled_from(["drop", "max"]),
+    delivery=st.sampled_from(["round_robin", "seeded_shuffle"]),
+    alpha0=st.sampled_from([0.0, 1e-6, 0.5]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_federated_ranking_equals_oracle(
+    n_users, log_d, k, rounds, aggregation, oov, delivery, alpha0, seed
+):
+    cfg = make_experiment_config(
+        n_users=n_users, share_range=10.0**log_d, k=k, rounds=rounds,
+        aggregation=aggregation, oov=oov, delivery=delivery, alpha0=alpha0, seed=seed,
+    )
+    assert run_experiment(cfg).meta["oracle_match"]
+
+
 @pytest.mark.parametrize("extra", [["--agg", "mean"], ["--rounds", "2"]])
 @pytest.mark.parametrize("seed", ["0", "3"])
 def test_cli_check_agrees_with_run_oracle_match(tmp_path, extra, seed):
@@ -351,6 +404,19 @@ def test_cli_aggregate_range_failure_exit_code(tmp_path):
         ]
     )
     assert rc == 4
+
+
+@pytest.mark.parametrize("big", [1e300, 1e308])
+def test_cli_aggregate_huge_values_fail_range_validation(tmp_path, capsys, big):
+    # values near the largest double: the grid stays exact below them, and
+    # a sum that overflows fails range validation instead of raising
+    vectors = tmp_path / "vectors.jsonl"
+    with open(vectors, "w", encoding="utf-8") as handle:
+        for i in range(2):
+            handle.write(json.dumps({"id": str(i), "values": [big, 0.5]}) + "\n")
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == 4
+    assert "range validation FAILED: ((0," in capsys.readouterr().err
 
 
 def test_cli_rank_over_likelihood_file(tmp_path):

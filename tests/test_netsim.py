@@ -18,7 +18,7 @@ from fedtrend.netsim import (
     transcript_to_jsonl,
     write_transcript,
 )
-from fedtrend.secagg import FeatureVector, ordered_sum, seeded_rng
+from fedtrend.secagg import FeatureVector, encode, exact_sum, ordered_sum, seeded_rng
 
 
 def random_secrets(n, d, seed):
@@ -37,7 +37,7 @@ def random_secrets(n, d, seed):
 def test_single_user_round_degenerates():
     secrets = random_secrets(1, 4, seed=0)
     agg, transcript = run_round(secrets, RoundConfig(seed=0))
-    assert np.array_equal(agg.values, secrets[0].values)
+    assert np.array_equal(agg.values, encode(secrets[0], 1, 100.0))
     assert transcript.count(MessageKind.SHARE) == 0
     assert transcript.count(MessageKind.OBFUSCATED) == 1
     assert transcript.count(MessageKind.AGGREGATE) == 1
@@ -70,14 +70,16 @@ def test_message_count_law(n):
     assert transcript.count(MessageKind.AGGREGATE) == n
 
 
-def test_delivery_schedules_agree_on_aggregate():
-    secrets = random_secrets(8, 12, seed=21)
-    agg_rr, t_rr = run_round(secrets, RoundConfig(seed=21, delivery="round_robin"))
-    agg_sh, t_sh = run_round(secrets, RoundConfig(seed=21, delivery="seeded_shuffle"))
-    # sums run in ascending id order, so the aggregates agree exactly
-    assert np.max(np.abs(agg_rr.values - agg_sh.values)) <= 1e-9
-    assert [m.kind for m in t_rr.messages] != [m.kind for m in t_sh.messages] or True
-    assert len(t_rr.messages) == len(t_sh.messages)
+@pytest.mark.parametrize("n, share_range", [(8, 100.0), (45, 1e6), (13, 13801.6)])
+def test_delivery_schedules_agree_on_aggregate(n, share_range):
+    secrets = random_secrets(n, 12, seed=21)
+    agg_rr, t_rr = run_round(secrets, RoundConfig(21, share_range, "round_robin"))
+    agg_sh, t_sh = run_round(secrets, RoundConfig(21, share_range, "seeded_shuffle"))
+    # every sum of the round is exact, so both equal the exact encoded sum
+    exact = exact_sum([encode(s, n, share_range) for s in secrets])
+    assert agg_rr.values.tobytes() == agg_sh.values.tobytes() == exact.tobytes()
+    assert [m.sender for m in t_rr.messages] != [m.sender for m in t_sh.messages]
+    assert len(t_rr.messages) == len(t_sh.messages) == n * n + n
 
 
 def test_conservation_across_seeds():
@@ -175,6 +177,13 @@ def share_after_obfuscating():
     user.receive_share(share_msg(1, 0))
 
 
+def shares_to_user_0(*messages, n_users=3):
+    user = make_user(n_users=n_users)
+    user.start(0)
+    for msg in messages:
+        user.receive_share(msg)
+
+
 class SilentUser(UserNode):
     def _maybe_obfuscate(self, round_no):
         return None
@@ -206,6 +215,26 @@ PROTOCOL_FAULTS = {
     "share_before_start": (share_before_start, r"^user 0: share received"),
     "duplicate_share": (duplicate_share, r"^user 0: .*duplicate share from 1$"),
     "share_after_obfuscating": (share_after_obfuscating, r"^user 0: .*phase Obfuscated"),
+    "share_from_non_user": (
+        lambda: shares_to_user_0(share_msg("mallory", 0)),
+        r"^user 0: unexpected or duplicate share from mallory$",
+    ),
+    "share_from_unknown_user": (
+        lambda: shares_to_user_0(share_msg(3, 0)),
+        r"^user 0: unexpected or duplicate share from 3$",
+    ),
+    "share_wrong_length": (
+        lambda: shares_to_user_0(share_msg(2, 0, [0.5, 0.5])),
+        r"^user 0: share from 2 has shape \(2,\), not \(1,\)$",
+    ),
+    "share_nan": (
+        lambda: shares_to_user_0(share_msg(1, 0, [np.nan]), n_users=2),
+        r"^user 0: share from 1 has a non-finite entry$",
+    ),
+    "share_inf_then_honest": (
+        lambda: shares_to_user_0(share_msg(2, 0, [np.inf]), share_msg(1, 0)),
+        r"^user 0: share from 2 has a non-finite entry$",
+    ),
     "share_to_aggregator": (
         lambda: aggregator_fed(share_msg(0, AGGREGATOR_ID)),
         r"^aggregator: received Share message from 0$",
@@ -215,6 +244,10 @@ PROTOCOL_FAULTS = {
         r"duplicate vector from 1$",
     ),
     "unknown_sender": (lambda: aggregator_fed(obfuscated_msg(3)), r"vector from 3$"),
+    "non_user_sender": (
+        lambda: aggregator_fed(obfuscated_msg("mallory")),
+        r"^aggregator: unexpected or duplicate vector from mallory$",
+    ),
     "nan": (
         lambda: aggregator_fed(obfuscated_msg(0), obfuscated_msg(2, [np.nan])),
         r"vector from 2 has a non-finite entry",
@@ -286,6 +319,28 @@ def test_planted_raw_vector_leak_is_flagged():
     index, reason = report.violations[0]
     assert index == len(tampered.messages) - 1
     assert "user 1" in reason
+
+
+def test_single_user_round_is_flagged():
+    # with no peers, the obfuscated vector is the user's encoded vector
+    secrets = random_secrets(1, 4, seed=0)
+    _, transcript = run_round(secrets, RoundConfig(seed=0))
+    report = transcript_privacy_check(transcript, secrets)
+    assert report.violations == (
+        (0, "Obfuscated message from 0 to aggregator equals the raw vector of user 0"),
+    )
+
+
+def test_planted_encoded_vector_leak_is_flagged():
+    secrets = random_secrets(3, 4, seed=1)
+    _, transcript = run_round(secrets, RoundConfig(seed=1))
+    encoded = encode(secrets[2], 3, transcript.share_range)
+    assert not np.array_equal(encoded, secrets[2].values)
+    leak = Message(0, "0", "1", MessageKind.SHARE, encoded)
+    tampered = Transcript(3, 4, transcript.share_range, 1, transcript.messages + (leak,))
+    report = transcript_privacy_check(tampered, secrets)
+    reason = "Share message from 0 to 1 equals the raw vector of user 2"
+    assert report.violations == ((len(tampered.messages) - 1, reason),)
 
 
 def test_share_range_violation_is_flagged():
@@ -405,5 +460,7 @@ def test_round_config_validation():
         RoundConfig(seed=0, delivery="carrier_pigeon")
     with pytest.raises(ValueError):
         RoundConfig(seed=0, share_range=0.0)
+    with pytest.raises(ValueError):
+        RoundConfig(seed=0, share_range=float("inf"))
     with pytest.raises(ValueError):
         RoundConfig(seed=-1)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,10 @@ from fedtrend.secagg import (
     SystemEntropySource,
     aggregate,
     combine_received,
+    encode,
+    exact_sum,
     frozen,
+    grid_bits,
     make_shares,
     ordered_sum,
     seeded_rng,
@@ -68,12 +73,39 @@ def test_shares_sum_back_to_vector():
 
 
 def test_diagonal_is_exact_residual():
-    # The kept share is bit-for-bit the residual of the random-share sum.
+    # The kept share is bit-for-bit the residual of the encoded vector and
+    # the random-share sum, in either summation order.
     v = FeatureVector(values=np.array([0.1, 0.9, 0.5]), bounds=(0.0, 1.0))
     share_set = make_shares(v, 5, 100.0, rng=seeded_rng(3), owner=2)
     others = [k for k in range(5) if k != 2]
-    residual = v.values - ordered_sum(share_set.shares[others])
-    assert np.array_equal(share_set.diagonal, residual)
+    for order in (others, others[::-1]):
+        residual = encode(v, 5, 100.0) - ordered_sum(share_set.shares[order])
+        assert np.array_equal(share_set.diagonal, residual)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    share_range=st.floats(min_value=1e-3, max_value=1e12),
+    high=st.floats(min_value=0.0, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_shares_are_grid_points_that_sum_exactly(n, share_range, high, seed):
+    rng = seeded_rng(seed)
+    v = FeatureVector(values=rng.uniform(-high, high, 7), bounds=(-high, high))
+    share_set = make_shares(v, n, share_range, rng=rng, owner=seed % n)
+    f = grid_bits(n, share_range, v.bounds)
+    bound = n * (2 * Fraction(share_range) + Fraction(high))
+    assert bound * Fraction(2) ** f < 2**53 <= bound * Fraction(2) ** (f + 2)
+    numerators = np.ldexp(share_set.shares, f)
+    assert np.array_equal(numerators, np.round(numerators))
+    assert np.all(np.abs(numerators) < 2.0**53)
+    others = np.delete(share_set.shares, seed % n, axis=0)
+    assert np.all(np.abs(others) <= share_range)
+    encoded = encode(v, n, share_range)
+    assert np.all(np.abs(encoded - v.values) <= 2.0 ** -(f + 1))
+    assert np.array_equal(ordered_sum(share_set.shares), encoded)
+    assert np.array_equal(ordered_sum(share_set.shares[::-1]), encoded)
 
 
 def test_off_diagonal_shares_in_range():
@@ -121,9 +153,16 @@ def test_share_uniformity():
 
 def test_system_entropy_source_range():
     source = SystemEntropySource()
-    draws = source.uniform(-7.0, 7.0, (100, 3))
+    draws = source.integers(-3, 4, (100, 3))  # D * 2**f rounded down is 3
     assert draws.shape == (100, 3)
-    assert np.all(np.abs(draws) <= 7.0)
+    assert draws.dtype == np.int64
+    assert np.all(np.abs(draws) <= 3)
+    assert draws.min() == -3 and draws.max() == 3
+    assert np.all(source.integers(5, 6, 4) == 5)
+    v = FeatureVector(values=np.array([0.25, 0.75]), bounds=(0.0, 1.0))
+    share_set = make_shares(v, 4, 7.0, rng=source, owner=1)
+    assert np.all(np.abs(np.delete(share_set.shares, 1, axis=0)) <= 7.0)
+    assert np.array_equal(ordered_sum(share_set.shares), encode(v, 4, 7.0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +214,17 @@ def test_aggregate_order_independent():
     assert np.array_equal(forward.values, backward.values)
 
 
+def test_aggregate_sum_is_correctly_rounded():
+    # a float left-to-right sum loses the 1.0 entirely
+    values = [np.array([1e100, 0.5]), np.array([1.0, 0.25]), np.array([-1e100, 0.25])]
+    assert ordered_sum(values).tolist() == [0.0, 1.0]
+    assert exact_sum(values).tolist() == [1.0, 1.0]
+    assert not exact_sum(values).flags.writeable
+    vectors = [ObfuscatedVector(owner=i, values=v) for i, v in enumerate(values)]
+    for order in (vectors, vectors[::-1]):
+        assert aggregate(order).values.tolist() == [1.0, 1.0]
+
+
 def test_full_round_n10_d1000_direct_sum_oracle():
     rng = seeded_rng(7)
     secrets = [unit_vector(rng, 1000) for _ in range(10)]
@@ -191,9 +241,10 @@ def test_reconstruction_grid(n, d, share_range):
     secrets = [unit_vector(rng, d) for _ in range(n)]
     agg = run_protocol(secrets, share_range, seed=11)
     direct = ordered_sum([s.values for s in secrets])
-    # Rounding of the pinned ascending-order sums accumulates like a random
-    # walk: ~eps * D * N^1.5.  The 4x-eps floor covers the D=1e6 corners
-    # where that exceeds the nominal 1e-9 * max(1, D*N*1e-7) envelope.
+    # The aggregate is the exact sum of the encoded secrets, each within
+    # 2^-(f+1) <= 2 * eps * D * N of its raw entry; the N rounding errors add
+    # like a random walk, ~eps * D * N^1.5.  The 4x-eps floor covers the
+    # D=1e6 corners beyond the nominal 1e-9 * max(1, D*N*1e-7) envelope.
     eps = 2.0**-52
     tol = max(1e-9 * max(1.0, share_range * n * 1e-7), 4 * eps * share_range * n**1.5)
     assert np.max(np.abs(agg.values - direct)) <= tol
