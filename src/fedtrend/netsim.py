@@ -6,7 +6,10 @@ secret into shares and sends the off-diagonal ones to her peers; once a
 user holds all N-1 peer shares she sends her combined (obfuscated) vector
 to the aggregator; the aggregator sums the N obfuscated vectors and
 broadcasts the result.  The full delivery sequence is recorded in a
-transcript for privacy and conformance checks.
+transcript for privacy and conformance checks.  ``write_transcript`` saves
+it as JSON Lines, one message per line, with each payload written as the
+base64 text of its d little-endian doubles: exact for every double, at one
+C call per message.
 
 Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate itself is invariant
@@ -16,12 +19,13 @@ grid, so nodes add what they receive in the order it arrives.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -504,47 +508,75 @@ def transcript_privacy_check(
 
 
 def _format_payload(values: np.ndarray) -> str:
-    return "[" + ", ".join(format(x, ".17g") for x in values) + "]"
+    """Base64 of the payload's doubles, little-endian: exact for every double."""
+    raw = np.ascontiguousarray(values, dtype="<f8")
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
 
-def transcript_to_jsonl(transcript: Transcript) -> str:
-    """JSON Lines text: a metadata header, then one message per line.
+def _parse_payload(payload, dim: int, where: str) -> np.ndarray:
+    """The ``dim`` doubles that ``_format_payload`` wrote as ``payload``,
+    read-only over the decoded bytes; a ``ValueError`` naming ``where`` if
+    ``payload`` is anything else."""
+    if not isinstance(payload, str):
+        raise ValueError(f"{where}: payload is not a base64 string")
+    try:
+        raw = binascii.a2b_base64(payload)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raw = None
+    # the decoder skips stray characters; only the writer's own text
+    # encodes its bytes back to itself
+    if raw is None or binascii.b2a_base64(raw, newline=False) != payload.encode():
+        raise ValueError(f"{where}: payload is not valid base64")
+    if len(raw) != 8 * dim:
+        raise ValueError(
+            f"{where}: payload holds {len(raw)} bytes, not 8 * d = {8 * dim}"
+        )
+    return np.frombuffer(raw, dtype="<f8")
 
-    Payload doubles are written with 17 significant digits, which
-    round-trips IEEE-754 doubles exactly.
-    """
-    header = json.dumps(
+
+def _jsonl_lines(transcript: Transcript) -> Iterator[str]:
+    yield json.dumps(
         {
             "N": transcript.n_users,
             "d": transcript.dim,
             "D": transcript.share_range,
             "seed": transcript.seed,
         }
-    )
-    lines = [header]
+    ) + "\n"
     for msg in transcript.messages:
-        lines.append(
-            '{"round": %d, "from": %s, "to": %s, "kind": %s, "payload": %s}'
-            % (
-                msg.round,
-                json.dumps(msg.sender),
-                json.dumps(msg.receiver),
-                json.dumps(msg.kind.value),
-                _format_payload(msg.payload),
-            )
+        yield '{"round": %d, "from": %s, "to": %s, "kind": %s, "payload": "%s"}\n' % (
+            msg.round,
+            json.dumps(msg.sender),
+            json.dumps(msg.receiver),
+            json.dumps(msg.kind.value),
+            _format_payload(msg.payload),
         )
-    return "\n".join(lines) + "\n"
+
+
+def transcript_to_jsonl(transcript: Transcript) -> str:
+    """JSON Lines text: a metadata header, then one message per line.
+
+    A payload is the base64 text of its d doubles as little-endian IEEE-754
+    bytes, which round-trips every double exactly (-0.0, infinities, NaN
+    and subnormals included).
+    """
+    return "".join(_jsonl_lines(transcript))
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
-    Path(path).write_text(transcript_to_jsonl(transcript), encoding="utf-8")
+    """Write ``transcript_to_jsonl(transcript)`` to ``path``, line by line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_jsonl_lines(transcript))
 
 
 def load_transcript(path: str | Path) -> Transcript:
+    """Read a transcript that ``write_transcript`` wrote.  A payload that is
+    not base64 of exactly d doubles raises ``ValueError`` naming its line."""
     with open(path, encoding="utf-8") as handle:
         header = json.loads(handle.readline())
+        dim = int(header["d"])
         messages = []
-        for line in handle:
+        for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             rec = json.loads(line)
@@ -554,12 +586,14 @@ def load_transcript(path: str | Path) -> Transcript:
                     sender=rec["from"],
                     receiver=rec["to"],
                     kind=MessageKind(rec["kind"]),
-                    payload=rec["payload"],
+                    payload=_parse_payload(
+                        rec["payload"], dim, f"{path}: line {lineno}"
+                    ),
                 )
             )
     return Transcript(
         n_users=int(header["N"]),
-        dim=int(header["d"]),
+        dim=dim,
         share_range=float(header["D"]),
         seed=int(header["seed"]),
         messages=tuple(messages),

@@ -305,6 +305,21 @@ def test_cli_check_survives_exact_zero_coordinates(capsys):
     assert "oracle check passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["check"], ["check", "--rounds", "2"], ["run"]])
+def test_cli_rejects_share_range_that_zeroes_every_likelihood(tmp_path, capsys, command):
+    # D = 1e16 at N = 10 puts the grid step at 2^5, so every likelihood in
+    # [0, 1] encodes to 0 and no round would carry any evidence
+    out = tmp_path / "out"
+    argv = [*command, "--users", "10", "--share-range", "1e16", "--seed", "0"]
+    if command[0] == "run":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "D=1e+16" in err and "N=10" in err and "grid step 2^5" in err
+    assert not out.exists()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_users=st.integers(min_value=1, max_value=60),
@@ -417,6 +432,17 @@ def test_cli_aggregate_huge_values_fail_range_validation(tmp_path, capsys, big):
     argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(tmp_path)]
     assert cli.main(argv) == 4
     assert "range validation FAILED: ((0," in capsys.readouterr().err
+    # the transcript reloads, and every Aggregate payload is the aggregate
+    # bit for bit, including its overflowed inf coordinate at 1e308
+    rows = (tmp_path / "aggregate.csv").read_text().splitlines()[1:]
+    aggregate = np.array([float(row.split(",")[1]) for row in rows])
+    assert np.isinf(aggregate[0]) == (big == 1e308)
+    transcript = netsim.load_transcript(tmp_path / "transcript.jsonl")
+    copies = [
+        m.payload for m in transcript.messages if m.kind is netsim.MessageKind.AGGREGATE
+    ]
+    assert len(copies) == 2
+    assert all(c.tobytes() == aggregate.tobytes() for c in copies)
 
 
 def test_cli_rank_over_likelihood_file(tmp_path):

@@ -1,5 +1,12 @@
+import binascii
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedtrend.netsim import (
     AGGREGATOR_ID,
@@ -426,11 +433,26 @@ def test_inject_adversary_needs_two_users():
 # ---------------------------------------------------------------------------
 
 
-def test_transcript_jsonl_roundtrip(tmp_path):
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payloads=st.lists(arrays(np.float64, 5, elements=st.floats()), max_size=12))
+@example(payloads=[np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324])])
+def test_transcript_jsonl_roundtrip(tmp_path, payloads):
     secrets = random_secrets(3, 5, seed=13)
     _, transcript = run_round(secrets, RoundConfig(seed=13))
+    # arbitrary doubles in place of the first payloads: -0.0, infinities,
+    # NaN and subnormals come back bit for bit, since a payload is the
+    # base64 of its bytes
+    messages = list(transcript.messages)
+    for i, payload in enumerate(payloads):
+        messages[i] = dataclasses.replace(messages[i], payload=payload)
+    transcript = dataclasses.replace(transcript, messages=tuple(messages))
     path = tmp_path / "transcript.jsonl"
     write_transcript(transcript, path)
+    assert path.read_text(encoding="utf-8") == transcript_to_jsonl(transcript)
     loaded = load_transcript(path)
     assert loaded.n_users == transcript.n_users
     assert loaded.dim == transcript.dim
@@ -438,19 +460,48 @@ def test_transcript_jsonl_roundtrip(tmp_path):
     assert loaded.seed == transcript.seed
     assert len(loaded.messages) == len(transcript.messages)
     for original, parsed in zip(transcript.messages, loaded.messages):
+        assert parsed.round == original.round
         assert parsed.kind is original.kind
         assert parsed.sender == original.sender
         assert parsed.receiver == original.receiver
-        # 17 significant digits round-trip doubles exactly
-        assert np.array_equal(parsed.payload, original.payload)
+        assert parsed.payload.tobytes() == original.payload.tobytes()
+        # kept read-only over the decoded bytes, not copied
+        assert type(parsed.payload.base) is bytes
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ([0.25, 0.5], "is not a base64 string"),
+        (None, "is not a base64 string"),
+        ("AAAAAAAA@AAAAAAAAAAAAAA", "is not valid base64"),
+        ("AAAAAAAAAAA", "is not valid base64"),
+        # the lenient decoder reads this as one byte
+        ("AA==AAAAAAAAAAAAAAAAAAAA", "is not valid base64"),
+        ("AAAAAAAAAAAAAAAAAAAAAA\u00e9", "is not valid base64"),
+        (
+            binascii.b2a_base64(bytes(24), newline=False).decode(),
+            "holds 24 bytes, not 8 \\* d = 16",
+        ),
+        ("", "holds 0 bytes"),
+    ],
+)
+def test_load_transcript_rejects_malformed_payload(tmp_path, payload, reason):
+    _, transcript = run_round(random_secrets(2, 2, seed=5), RoundConfig(seed=5))
+    lines = transcript_to_jsonl(transcript).splitlines(keepends=True)
+    record = json.loads(lines[3])
+    record["payload"] = payload
+    lines[3] = json.dumps(record) + "\n"
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 4: payload {reason}"):
+        load_transcript(path)
 
 
 def test_transcript_header_fields(tmp_path):
     secrets = random_secrets(2, 3, seed=17)
     _, transcript = run_round(secrets, RoundConfig(seed=17))
     text = transcript_to_jsonl(transcript)
-    import json
-
     header = json.loads(text.splitlines()[0])
     assert header == {"N": 2, "d": 3, "D": 100.0, "seed": 17}
 
