@@ -84,8 +84,8 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
 def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
     """JSONL vector file: one {"id": ..., "values": [...]} object per line.
 
-    Values must be finite numbers; a record that breaks this is a
-    configuration error naming the file, line and record id.
+    Values must be a non-empty flat list of finite numbers; a record that
+    breaks this is a configuration error naming the file, line and record id.
     """
     vectors = []
     with open(path, encoding="utf-8") as handle:
@@ -94,18 +94,19 @@ def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
                 continue
             try:
                 rec = json.loads(line)
-                values = np.asarray(rec["values"], dtype=np.float64)
+                raw = rec["values"]
                 record_id = str(rec.get("id", lineno - 1))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad vector record ({exc})")
-            if values.ndim != 1:
-                raise ConfigError(
-                    f"{path}: line {lineno}: record {record_id!r}: values must be a flat list"
-                )
+            where = f"{path}: line {lineno}: record {record_id!r}"
+            try:
+                values = np.asarray(raw, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{where}: values are not numbers ({exc})")
+            if values.ndim != 1 or values.size == 0:
+                raise ConfigError(f"{where}: values must be a non-empty flat list")
             if not np.all(np.isfinite(values)):
-                raise ConfigError(
-                    f"{path}: line {lineno}: record {record_id!r}: non-finite value"
-                )
+                raise ConfigError(f"{where}: non-finite value")
             vectors.append((record_id, values))
     if not vectors:
         raise ConfigError(f"{path}: no vectors found")
@@ -147,10 +148,13 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     lo = min(a, min(float(v.min()) for _, v in vectors))
     hi = max(b, max(float(v.max()) for _, v in vectors))
     secrets = [secagg.FeatureVector(values=v, bounds=(lo, hi)) for _, v in vectors]
-    cfg = netsim.RoundConfig(
-        seed=args.seed, share_range=args.share_range, delivery=args.delivery
-    )
-    aggregate, transcript = netsim.run_round(secrets, cfg)
+    try:
+        cfg = netsim.RoundConfig(
+            seed=args.seed, share_range=args.share_range, delivery=args.delivery
+        )
+        aggregate, transcript = netsim.run_round(secrets, cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = secagg.validate_aggregate(aggregate, len(secrets), (a, b))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -206,7 +206,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     messages: list[netsim.Message] = []
     aggregate = validation = None
     for round_index in range(cfg.rounds):
-        aggregate, transcript = netsim.run_round(secrets, round_cfg, round_index)
+        try:
+            aggregate, transcript = netsim.run_round(secrets, round_cfg, round_index)
+        except ValueError as exc:  # e.g. a share range too coarse for N
+            raise ConfigError(str(exc)) from exc
         messages.extend(transcript.messages)
         validation = secagg.validate_aggregate(
             aggregate, cfg.n_users, secrets[0].bounds
@@ -214,18 +217,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         aggregates.append(aggregate.values)
     # The oracle takes the same belief updates on the share-free aggregate:
     # the exact sum of the same encoded likelihoods, which an honest round's
-    # aggregate equals bit for bit.  Likelihoods are nonnegative, so it is
-    # all zero only when the grid rounds every likelihood to 0, and then no
-    # round carries evidence to rank.
+    # aggregate equals bit for bit.
     exact = secagg.exact_sum(
         [secagg.encode(s, cfg.n_users, cfg.share_range) for s in secrets]
     )
-    if not exact.any() and any(s.values.any() for s in secrets):
-        f = secagg.grid_bits(cfg.n_users, cfg.share_range, secrets[0].bounds)
-        raise ConfigError(
-            f"share range D={cfg.share_range:g} is too coarse for N={cfg.n_users} "
-            f"users: the grid step 2^{-f} = {2.0 ** -f:g} rounds every likelihood to 0"
-        )
     posteriors = _rank_rounds(cfg, aggregates, prior)
     oracle = _rank_rounds(cfg, [exact] * cfg.rounds, prior)[-1]
 

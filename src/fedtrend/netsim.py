@@ -15,6 +15,10 @@ Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate itself is invariant
 to delivery order because every sum of the round is exact on ``secagg``'s
 grid, so nodes add what they receive in the order it arrives.
+
+``run_round`` and ``inject_adversary`` check their inputs the same way and
+run the same honest nodes.  An adversary is a user whose outgoing messages
+are rewritten on the wire, between her node and their receivers.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -149,24 +153,14 @@ class UserNode:
         self.received: dict[int, np.ndarray] = {}
         self.result: FeatureVector | None = None
 
-    def _create_shares(self) -> secagg.ShareSet:
-        return secagg.make_shares(
-            self.secret,
-            self.n_users,
-            self.share_range,
-            rng=self.rng,
-            owner=self.index,
-        )
-
-    def _obfuscated_values(self, values: np.ndarray) -> np.ndarray:
-        return values  # hook for adversarial subclasses
-
     def start(self, round_no: int) -> tuple[list[Message], Message | None]:
         """Create shares; returns the peer messages and, when the user has
         no peers to wait for (N=1), her obfuscated message right away."""
         if self.phase is not _Phase.INIT:
             raise ProtocolViolation(f"user {self.id}: start() called twice")
-        share_set = self._create_shares()
+        share_set = secagg.make_shares(
+            self.secret, self.n_users, self.share_range, rng=self.rng, owner=self.index
+        )
         self.kept = share_set.diagonal
         outgoing = [
             Message(round_no, self.id, str(k), MessageKind.SHARE, share_set.share_for(k))
@@ -206,11 +200,7 @@ class UserNode:
                     )
         self.phase = _Phase.OBFUSCATED
         return Message(
-            round_no,
-            self.id,
-            AGGREGATOR_ID,
-            MessageKind.OBFUSCATED,
-            self._obfuscated_values(combined.values),
+            round_no, self.id, AGGREGATOR_ID, MessageKind.OBFUSCATED, combined.values
         )
 
     def receive_aggregate(self, msg: Message) -> None:
@@ -275,13 +265,6 @@ class AggregatorNode:
 # ---------------------------------------------------------------------------
 
 
-def _common_bounds(secrets: Sequence[FeatureVector]) -> tuple[float, float]:
-    bounds = {s.bounds for s in secrets}
-    if len(bounds) != 1:
-        raise ValueError("all secrets must declare the same bounds")
-    return bounds.pop()
-
-
 def _schedule(batches: list[list[Message]], delivery: str, rng) -> list[Message]:
     """Order one phase's messages: cycle senders, or shuffle with the rng."""
     if delivery == "seeded_shuffle":
@@ -291,25 +274,31 @@ def _schedule(batches: list[list[Message]], delivery: str, rng) -> list[Message]
     return [b[i] for i in range(width) for b in batches if i < len(b)]
 
 
-def _execute_round(users, secrets, cfg, round_index, deliver_rng):
+def _honest(msg: Message) -> Message:
+    return msg
+
+
+def _execute_round(users, cfg, round_index, deliver_rng, send=_honest):
+    """Deliver one round among ``users``; ``send`` maps each message a user
+    emits to the message the wire carries."""
     n = len(users)
-    a, b = _common_bounds(secrets)
-    aggregator = AggregatorNode(n, per_user_bounds=(a, b))
+    secret = users[0].secret
+    aggregator = AggregatorNode(n, per_user_bounds=secret.bounds)
     delivered: list[Message] = []
 
     share_batches: list[list[Message]] = []
     obfuscated: list[Message] = []
     for user in users:
         outgoing, obf = user.start(round_index)
-        share_batches.append(outgoing)
+        share_batches.append([send(m) for m in outgoing])
         if obf is not None:
-            obfuscated.append(obf)
+            obfuscated.append(send(obf))
 
     for msg in _schedule(share_batches, cfg.delivery, deliver_rng):
         delivered.append(msg)
         reply = users[int(msg.receiver)].receive_share(msg)
         if reply is not None:
-            obfuscated.append(reply)
+            obfuscated.append(send(reply))
 
     for msg in _schedule([[m] for m in obfuscated], cfg.delivery, deliver_rng):
         delivered.append(msg)
@@ -327,7 +316,7 @@ def _execute_round(users, secrets, cfg, round_index, deliver_rng):
 
     transcript = Transcript(
         n_users=n,
-        dim=len(secrets[0]),
+        dim=len(secret),
         share_range=cfg.share_range,
         seed=cfg.seed,
         messages=tuple(delivered),
@@ -335,68 +324,56 @@ def _execute_round(users, secrets, cfg, round_index, deliver_rng):
     return result, transcript
 
 
-def _spawn_rngs(cfg: RoundConfig, round_index: int, n: int):
-    seq = np.random.SeedSequence((int(cfg.seed), int(round_index)))
-    children = seq.spawn(n + 1)
-    user_rngs = [np.random.default_rng(c) for c in children[:n]]
-    return user_rngs, np.random.default_rng(children[n])
+def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
+    """The users of a round over ``secrets``, and its delivery rng.
+
+    The one check of a round's inputs: ``ValueError`` unless there is at
+    least one user, the secrets share one dimension d >= 1 and one finite
+    pair of bounds, every secret lies inside them, and the round's grid
+    leaves some entry of some secret nonzero (when any is nonzero).
+    """
+    n = len(secrets)
+    if n < 1:
+        raise ValueError("need at least one user")
+    if len({len(s) for s in secrets}) != 1 or len(secrets[0]) < 1:
+        raise ValueError("all secrets must have the same dimension, at least 1")
+    bounds = {s.bounds for s in secrets}
+    if len(bounds) != 1:
+        raise ValueError("all secrets must declare the same bounds")
+    a, b = bounds.pop()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds ({a:g}, {b:g}) must be finite")
+    peak = 0.0
+    for i, s in enumerate(secrets):
+        low, high = float(s.values.min()), float(s.values.max())
+        if not a <= low <= high <= b:  # NaN fails too
+            raise ValueError(f"secret of user {i} violates its declared bounds")
+        peak = max(peak, -low, high)
+    f = secagg.grid_bits(n, cfg.share_range, (a, b))
+    # the grid rounds x to 0 exactly when |x| * 2**f <= 1/2
+    if 0 < math.ldexp(peak, f) <= 0.5:
+        raise ValueError(
+            f"share range D={cfg.share_range:g} is too coarse for N={n} users: "
+            f"the grid step 2^{-f} = {2.0 ** -f:g} rounds every secret to 0"
+        )
+    seeds = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    users = [UserNode(i, secrets[i], n, cfg.share_range, rngs[i]) for i in range(n)]
+    return users, rngs[n]
 
 
 def run_round(
     secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
 ) -> tuple[FeatureVector, Transcript]:
-    """Run one honest aggregation round over the users' secret vectors."""
-    n = len(secrets)
-    if n < 1:
-        raise ValueError("need at least one user")
-    dims = {len(s) for s in secrets}
-    if len(dims) != 1:
-        raise ValueError("all secrets must have the same dimension")
-    _common_bounds(secrets)
-    for i, s in enumerate(secrets):
-        if not s.within_bounds():
-            raise ValueError(f"secret of user {i} violates its declared bounds")
-    user_rngs, deliver_rng = _spawn_rngs(cfg, round_index, n)
-    users = [
-        UserNode(i, secrets[i], n, cfg.share_range, user_rngs[i]) for i in range(n)
-    ]
-    return _execute_round(users, secrets, cfg, round_index, deliver_rng)
+    """Run one honest aggregation round over the users' secret vectors;
+    ``ValueError`` for inputs that no round can take."""
+    users, deliver_rng = _round_users(secrets, cfg, round_index)
+    return _execute_round(users, cfg, round_index, deliver_rng)
 
 
 # ---------------------------------------------------------------------------
 # Adversary injection
 # ---------------------------------------------------------------------------
-
-
-class _InflatingUser(UserNode):
-    def __init__(self, *args, coordinate: int, amount: float):
-        super().__init__(*args)
-        self._coordinate = coordinate
-        self._amount = amount
-
-    def _obfuscated_values(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        out[self._coordinate] += self._amount
-        return out
-
-
-class _OutOfRangeShareUser(UserNode):
-    def __init__(self, *args, coordinate: int):
-        super().__init__(*args)
-        self._coordinate = coordinate
-
-    def _create_shares(self) -> secagg.ShareSet:
-        honest = super()._create_shares()
-        shares = honest.shares.copy()
-        target = next(k for k in range(self.n_users) if k != self.index)
-        # move the excess into the kept share so the share sum stays
-        # consistent; only the per-message range check should trip
-        excess = 2.0 * self.share_range - shares[target, self._coordinate]
-        shares[target, self._coordinate] += excess
-        shares[self.index, self._coordinate] -= excess
-        return secagg.ShareSet(
-            owner=self.index, shares=shares, share_range=self.share_range
-        )
 
 
 def inject_adversary(
@@ -406,16 +383,18 @@ def inject_adversary(
     adversary: int = 0,
     coordinate: int = 0,
     amount: float | None = None,
-    round_index: int = 0,
-    validation_tolerance: float = secagg.DEFAULT_VALIDATION_TOLERANCE,
 ) -> tuple[FeatureVector, Transcript, RangeReport]:
     """Run a round where one designated user misbehaves.
 
-    ``inflate_coordinate`` adds ``amount`` (default: enough to escape the
-    admissible range) to one coordinate of the adversary's obfuscated
-    vector; ``out_of_range_share`` sends a peer share entry of 2D, which
-    the transcript range check flags.  Returns the aggregate, transcript,
-    and the aggregator's range-validation report.
+    Every user runs the honest protocol on inputs that ``run_round``
+    accepts; only the adversary's outgoing messages are rewritten on the
+    wire.  ``inflate_coordinate`` adds ``amount`` (default: enough to
+    escape the admissible range) to one coordinate of her Obfuscated
+    payload.  ``out_of_range_share`` puts 2D into that coordinate of her
+    first peer share and takes the excess off her Obfuscated payload, so
+    the aggregate is unchanged and only the transcript range check trips.
+    Returns the aggregate, transcript, and the aggregator's
+    range-validation report.
     """
     behavior = AdversaryBehavior(behavior)
     n = len(secrets)
@@ -423,22 +402,27 @@ def inject_adversary(
         raise ValueError("adversary injection needs at least two users")
     if not 0 <= adversary < n:
         raise ValueError("adversary index out of range")
-    a, b = _common_bounds(secrets)
-    if amount is None:
-        amount = n * (b - a) + 1.0
-    user_rngs, deliver_rng = _spawn_rngs(cfg, round_index, n)
-    users: list[UserNode] = []
-    for i in range(n):
-        args = (i, secrets[i], n, cfg.share_range, user_rngs[i])
-        if i != adversary:
-            users.append(UserNode(*args))
-        elif behavior is AdversaryBehavior.INFLATE_COORDINATE:
-            users.append(_InflatingUser(*args, coordinate=coordinate, amount=amount))
-        else:
-            users.append(_OutOfRangeShareUser(*args, coordinate=coordinate))
-    result, transcript = _execute_round(users, secrets, cfg, round_index, deliver_rng)
-    report = secagg.validate_aggregate(result, n, (a, b), tolerance=validation_tolerance)
-    return result, transcript, report
+    users, deliver_rng = _round_users(secrets, cfg, 0)
+    a, b = secrets[0].bounds
+    sender, peer = str(adversary), str(int(adversary == 0))
+    added: dict[str, float] = {}  # receiver -> what the coordinate gains
+    if behavior is AdversaryBehavior.INFLATE_COORDINATE:
+        added[AGGREGATOR_ID] = n * (b - a) + 1.0 if amount is None else amount
+
+    def send(msg: Message) -> Message:
+        if msg.sender != sender:
+            return msg
+        if behavior is AdversaryBehavior.OUT_OF_RANGE_SHARE and msg.receiver == peer:
+            excess = 2.0 * cfg.share_range - msg.payload[coordinate]
+            added.update({peer: excess, AGGREGATOR_ID: -excess})
+        if msg.receiver not in added:
+            return msg
+        values = msg.payload.copy()
+        values[coordinate] += added[msg.receiver]
+        return replace(msg, payload=values)
+
+    result, transcript = _execute_round(users, cfg, 0, deliver_rng, send)
+    return result, transcript, secagg.validate_aggregate(result, n, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +497,12 @@ def _format_payload(values: np.ndarray) -> str:
     return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
 
-def _parse_payload(payload, dim: int, where: str) -> np.ndarray:
+def _parse_payload(payload, dim: int) -> np.ndarray:
     """The ``dim`` doubles that ``_format_payload`` wrote as ``payload``,
-    read-only over the decoded bytes; a ``ValueError`` naming ``where`` if
-    ``payload`` is anything else."""
+    read-only over the decoded bytes; a ``ValueError`` if ``payload`` is
+    anything else."""
     if not isinstance(payload, str):
-        raise ValueError(f"{where}: payload is not a base64 string")
+        raise ValueError("payload is not a base64 string")
     try:
         raw = binascii.a2b_base64(payload)
     except ValueError:  # binascii.Error, or a character outside ASCII
@@ -526,11 +510,9 @@ def _parse_payload(payload, dim: int, where: str) -> np.ndarray:
     # the decoder skips stray characters; only the writer's own text
     # encodes its bytes back to itself
     if raw is None or binascii.b2a_base64(raw, newline=False) != payload.encode():
-        raise ValueError(f"{where}: payload is not valid base64")
+        raise ValueError("payload is not valid base64")
     if len(raw) != 8 * dim:
-        raise ValueError(
-            f"{where}: payload holds {len(raw)} bytes, not 8 * d = {8 * dim}"
-        )
+        raise ValueError(f"payload holds {len(raw)} bytes, not 8 * d = {8 * dim}")
     return np.frombuffer(raw, dtype="<f8")
 
 
@@ -570,8 +552,10 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a transcript that ``write_transcript`` wrote.  A payload that is
-    not base64 of exactly d doubles raises ``ValueError`` naming its line."""
+    """Read a transcript that ``write_transcript`` wrote.  A message line
+    that is not JSON, lacks a field, names an unknown kind or carries a
+    payload other than base64 of exactly d doubles raises ``ValueError``
+    naming the path and the line."""
     with open(path, encoding="utf-8") as handle:
         header = json.loads(handle.readline())
         dim = int(header["d"])
@@ -579,18 +563,23 @@ def load_transcript(path: str | Path) -> Transcript:
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            messages.append(
-                Message(
-                    round=int(rec["round"]),
-                    sender=rec["from"],
-                    receiver=rec["to"],
-                    kind=MessageKind(rec["kind"]),
-                    payload=_parse_payload(
-                        rec["payload"], dim, f"{path}: line {lineno}"
-                    ),
+            try:
+                rec = json.loads(line)
+                messages.append(
+                    Message(
+                        round=int(rec["round"]),
+                        sender=rec["from"],
+                        receiver=rec["to"],
+                        kind=MessageKind(rec["kind"]),
+                        payload=_parse_payload(rec["payload"], dim),
+                    )
                 )
-            )
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not JSON ({exc})") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return Transcript(
         n_users=int(header["N"]),
         dim=dim,

@@ -122,12 +122,6 @@ class FeatureVector:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def within_bounds(self, tolerance: float = 0.0) -> bool:
-        a, b = self.bounds
-        return bool(
-            np.all(self.values >= a - tolerance) and np.all(self.values <= b + tolerance)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ShareSet:

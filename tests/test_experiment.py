@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedtrend import baselines, cli, corpus, netsim
@@ -491,7 +491,10 @@ def test_cli_aggregate_bad_vector_file(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("bad_values", [[float("nan"), 0.5], [0.5, float("-inf")], 3.0])
+@pytest.mark.parametrize(
+    "bad_values",
+    [[float("nan"), 0.5], [0.5, float("-inf")], 3.0, [], [int("9" * 400), 0.5]],
+)
 def test_cli_aggregate_rejects_malformed_values(tmp_path, capsys, bad_values):
     vectors = tmp_path / "vectors.jsonl"
     with open(vectors, "w", encoding="utf-8") as handle:
@@ -504,3 +507,71 @@ def test_cli_aggregate_rejects_malformed_values(tmp_path, capsys, bad_values):
     assert "Traceback" not in err
     assert "line 2" in err and "'u1'" in err
     assert not out.exists()
+
+
+VALID_VECTOR_FILE = (
+    '{"id": "u0", "values": [0.2, 0.4]}\n{"id": "u1", "values": [0.3, 0.1]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "extra, cause",
+    [
+        (["--share-range", "nan"], "share_range must be positive and finite"),
+        (["--share-range", "-1"], "share_range must be positive and finite"),
+        (["--share-range", "inf"], "share_range must be positive and finite"),
+        (["--seed", "-1"], "seed must be a nonnegative integer"),
+        (["--bounds", "0", "inf"], "bounds (0, inf) must be finite"),
+        (
+            ["--share-range", "1e16"],
+            "share range D=1e+16 is too coarse for N=2 users: the grid step 2^3 = 8",
+        ),
+    ],
+    ids=["D_nan", "D_negative", "D_inf", "seed_negative", "bound_inf", "D_too_coarse"],
+)
+def test_cli_aggregate_fault_table(tmp_path, capsys, extra, cause):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(VALID_VECTOR_FILE, encoding="utf-8")
+    out = tmp_path / "agg"
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(out)]
+    assert cli.main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert cause in err
+    assert not out.exists()
+
+
+@st.composite
+def edited_vector_files(draw):
+    """The two-record vector file after up to four character edits."""
+    text = VALID_VECTOR_FILE
+    char = st.one_of(
+        st.sampled_from(list('0123456789.-+eE[]{}",: \nNaIn')),
+        st.characters(exclude_categories=("Cs",)),
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        pos = draw(st.integers(min_value=0, max_value=len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        keep = pos if edit == "insert" else pos + 1
+        text = text[:pos] + ("" if edit == "delete" else draw(char)) + text[keep:]
+    return text
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=edited_vector_files())
+def test_cli_edited_vector_files_end_in_a_documented_exit_code(tmp_path, capsys, text):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(text, encoding="utf-8")
+    idf = tmp_path / "idf.tsv"
+    idf.write_text("alpha\t1.0\nbeta\t4.0\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    # an exception escaping main() is the traceback a user would see
+    aggregate = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", out]
+    assert cli.main(aggregate) in (0, 2, 4)
+    rank = ["rank", "--likelihoods", str(vectors), "--idf", str(idf), "--out", out]
+    assert cli.main(rank) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import binascii
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,43 +98,24 @@ def test_conservation_across_seeds():
         assert np.max(np.abs(agg.values - direct)) <= 1e-9
 
 
-def test_round_rejects_mixed_dimensions():
-    secrets = [
-        FeatureVector(values=np.zeros(2), bounds=(0.0, 1.0)),
-        FeatureVector(values=np.zeros(3), bounds=(0.0, 1.0)),
-    ]
-    with pytest.raises(ValueError):
-        run_round(secrets, RoundConfig(seed=0))
-
-
-def test_round_rejects_out_of_bounds_secret():
-    secrets = [FeatureVector(values=np.array([1.5]), bounds=(0.0, 1.0))]
-    with pytest.raises(ValueError):
-        run_round(secrets, RoundConfig(seed=0))
-
-
 def test_no_phantom_knowledge():
-    from fedtrend.netsim import _execute_round, _spawn_rngs
+    from fedtrend.netsim import _execute_round, _round_users
 
-    secrets = random_secrets(6, 5, seed=4)
     cfg = RoundConfig(seed=4)
-    user_rngs, deliver_rng = _spawn_rngs(cfg, 0, 6)
-    users = [UserNode(i, secrets[i], 6, cfg.share_range, user_rngs[i]) for i in range(6)]
-    _execute_round(users, secrets, cfg, 0, deliver_rng)
+    users, deliver_rng = _round_users(random_secrets(6, 5, seed=4), cfg, 0)
+    _execute_round(users, cfg, 0, deliver_rng)
     for i, user in enumerate(users):
         assert sorted(user.received) == [k for k in range(6) if k != i]
         assert user.result is not None
 
 
 def test_honest_round_shares_payloads_by_reference():
-    from fedtrend.netsim import _execute_round, _spawn_rngs
+    from fedtrend.netsim import _execute_round, _round_users
 
     n = 4
-    secrets = random_secrets(n, 5, seed=6)
     cfg = RoundConfig(seed=6)
-    user_rngs, deliver_rng = _spawn_rngs(cfg, 0, n)
-    users = [UserNode(i, secrets[i], n, cfg.share_range, user_rngs[i]) for i in range(n)]
-    result, transcript = _execute_round(users, secrets, cfg, 0, deliver_rng)
+    users, deliver_rng = _round_users(random_secrets(n, 5, seed=6), cfg, 0)
+    result, transcript = _execute_round(users, cfg, 0, deliver_rng)
     shares = [m for m in transcript.messages if m.kind is MessageKind.SHARE]
     assert len(shares) == n * (n - 1)
     for msg in shares:
@@ -197,18 +179,15 @@ class SilentUser(UserNode):
 
 
 def round_with_silent_user(silent=1, n=3):
-    from fedtrend.netsim import _execute_round, _spawn_rngs
+    from fedtrend.netsim import _execute_round, _round_users
 
     secrets = random_secrets(n, 2, seed=0)
     cfg = RoundConfig(seed=0)
-    user_rngs, deliver_rng = _spawn_rngs(cfg, 0, n)
-    users = [
-        (SilentUser if i == silent else UserNode)(
-            i, secrets[i], n, cfg.share_range, user_rngs[i]
-        )
-        for i in range(n)
-    ]
-    _execute_round(users, secrets, cfg, 0, deliver_rng)
+    users, deliver_rng = _round_users(secrets, cfg, 0)
+    users[silent] = SilentUser(
+        silent, secrets[silent], n, cfg.share_range, users[silent].rng
+    )
+    _execute_round(users, cfg, 0, deliver_rng)
 
 
 def aggregator_fed(*messages, n_users=3):
@@ -419,6 +398,48 @@ def test_out_of_range_share_detected_in_transcript():
     assert any("outside" in reason for _, reason in privacy.violations)
 
 
+def fv(*values, bounds=(0.0, 1.0)):
+    return FeatureVector(values=np.array(values, dtype=float), bounds=bounds)
+
+
+ROUND_INPUT_FAULTS = {
+    "mixed_dimensions": ([fv(0.5, 0.5), fv(0.5, 0.5, 0.5)], 100.0, r"same dimension"),
+    "no_coordinates": ([fv(), fv()], 100.0, r"same dimension, at least 1$"),
+    "mixed_bounds": ([fv(0.5), fv(0.5, bounds=(0.0, 2.0))], 100.0, r"same bounds$"),
+    "infinite_bound": (
+        [fv(0.5, bounds=(0.0, np.inf)), fv(0.5, bounds=(0.0, np.inf))],
+        100.0,
+        r"^bounds \(0, inf\) must be finite$",
+    ),
+    "out_of_bounds": ([fv(0.5), fv(1.5)], 100.0, r"^secret of user 1 violates"),
+    "nan_entry": ([fv(np.nan), fv(0.5)], 100.0, r"^secret of user 0 violates"),
+    # N = 2 at D = 1e16: the grid step 2^3 rounds every entry to 0
+    "coarse_grid": (
+        [fv(0.2, 0.4), fv(0.3, 0.1)],
+        1e16,
+        r"^share range D=1e\+16 is too coarse for N=2 users: the grid step 2\^3 = 8",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(ROUND_INPUT_FAULTS))
+@pytest.mark.parametrize("entry", ["run_round", "inject_adversary"])
+def test_round_entries_share_one_input_check(entry, fault):
+    secrets, share_range, cause = ROUND_INPUT_FAULTS[fault]
+    cfg = RoundConfig(seed=0, share_range=share_range)
+    with pytest.raises(ValueError, match=cause):
+        if entry == "run_round":
+            run_round(secrets, cfg)
+        else:
+            inject_adversary(secrets, cfg, "out_of_range_share", adversary=1)
+
+
+def test_all_zero_secrets_pass_any_grid():
+    # nothing is lost when the secrets are 0 to begin with
+    agg, _ = run_round([fv(0.0, 0.0), fv(0.0, 0.0)], RoundConfig(0, share_range=1e16))
+    assert not agg.values.any()
+
+
 def test_inject_adversary_needs_two_users():
     with pytest.raises(ValueError):
         inject_adversary(
@@ -495,6 +516,28 @@ def test_load_transcript_rejects_malformed_payload(tmp_path, payload, reason):
     path = tmp_path / "transcript.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=f"line 4: payload {reason}"):
+        load_transcript(path)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("not json\n", r"not JSON \(Expecting value"),
+        ('{"round": 0, "from": "0", "to": "1", "payload": ""}\n', r"missing field 'kind'$"),
+        (
+            '{"round": 0, "from": "0", "to": "1", "kind": "Shared", "payload": ""}\n',
+            r"'Shared' is not a valid MessageKind$",
+        ),
+    ],
+    ids=["not_json", "missing_field", "unknown_kind"],
+)
+def test_load_transcript_names_the_bad_line(tmp_path, line, reason):
+    _, transcript = run_round(random_secrets(2, 2, seed=5), RoundConfig(seed=5))
+    lines = transcript_to_jsonl(transcript).splitlines(keepends=True)
+    lines[3] = line
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: {reason}"):
         load_transcript(path)
 
 
