@@ -7,87 +7,3 @@ keywords by trend probability.
 """
 
 __version__ = "0.1.0"
-
-from .baselines import (
-    CountRanking,
-    centralized_oracle,
-    rank_by_pooled_trend,
-    rank_by_total_count,
-)
-from .bayes import (
-    LikelihoodVector,
-    PosteriorRanking,
-    PriorDistribution,
-    compute_local_likelihood,
-    compute_prior,
-    posterior_scores,
-    update_prior,
-)
-from .corpus import (
-    Document,
-    PreprocessConfig,
-    PrimaryKeywordSet,
-    VocabularyIndex,
-    document_frequency,
-    load_corpus,
-    load_idf_table,
-    load_stopwords,
-    preprocess,
-    primary_keyword_set,
-)
-from .experiment import ExperimentConfig, run_experiment, sample_user_documents
-from .netsim import (
-    RoundConfig,
-    Transcript,
-    inject_adversary,
-    run_round,
-    transcript_privacy_check,
-)
-from .secagg import (
-    FeatureVector,
-    ObfuscatedVector,
-    ShareSet,
-    aggregate,
-    combine_received,
-    make_shares,
-    validate_aggregate,
-)
-
-__all__ = [
-    "CountRanking",
-    "Document",
-    "ExperimentConfig",
-    "FeatureVector",
-    "LikelihoodVector",
-    "ObfuscatedVector",
-    "PosteriorRanking",
-    "PreprocessConfig",
-    "PrimaryKeywordSet",
-    "PriorDistribution",
-    "RoundConfig",
-    "ShareSet",
-    "Transcript",
-    "VocabularyIndex",
-    "aggregate",
-    "centralized_oracle",
-    "combine_received",
-    "compute_local_likelihood",
-    "compute_prior",
-    "document_frequency",
-    "inject_adversary",
-    "load_corpus",
-    "load_idf_table",
-    "load_stopwords",
-    "make_shares",
-    "posterior_scores",
-    "preprocess",
-    "primary_keyword_set",
-    "rank_by_pooled_trend",
-    "rank_by_total_count",
-    "run_experiment",
-    "run_round",
-    "sample_user_documents",
-    "transcript_privacy_check",
-    "update_prior",
-    "validate_aggregate",
-]

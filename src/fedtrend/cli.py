@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check mismatch, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,6 +22,8 @@ import numpy as np
 
 from . import bayes, corpus, data, netsim, secagg
 from .experiment import (
+    AGGREGATIONS,
+    OOV_POLICIES,
     ConfigError,
     ExperimentConfig,
     rankings_csv,
@@ -35,50 +38,48 @@ EXIT_PROTOCOL = 3
 EXIT_RANGE = 4
 
 
-def _experiment_args(sub: argparse.ArgumentParser) -> None:
+def _round_args(sub: argparse.ArgumentParser) -> None:
+    """The flags of a round's ``netsim.RoundConfig``."""
     sub.add_argument(
-        "--corpus", default=str(data.msmarco_corpus_path()),
+        "--share-range", type=float, help="half-width D of the random share interval"
+    )
+    sub.add_argument("--seed", type=int, required=True, help="experiment seed")
+    sub.add_argument("--delivery", choices=netsim.DELIVERIES)
+
+
+def _experiment_args(sub: argparse.ArgumentParser) -> None:
+    """The ``run``/``check`` flags; each stores the ``ExperimentConfig``
+    field it sets, and one left out leaves that field's default."""
+    sub.add_argument(
+        "--corpus", dest="corpus_path", metavar="CORPUS",
+        default=str(data.msmarco_corpus_path()),
         help="corpus file (default: bundled evaluation passages)",
     )
-    sub.add_argument("--format", choices=("lines", "jsonl"), default="lines")
+    sub.add_argument("--format", dest="corpus_format", choices=corpus.CORPUS_FORMATS)
     sub.add_argument(
-        "--idf", default=str(data.idf_table_path()),
+        "--idf", dest="idf_path", metavar="IDF", default=str(data.idf_table_path()),
         help="IDF table TSV (default: bundled table)",
     )
     sub.add_argument(
-        "--stopwords", default=str(data.stopwords_path()),
-        help="stopword list (default: bundled list)",
+        "--stopwords", dest="stopword_path", metavar="STOPWORDS",
+        default=str(data.stopwords_path()), help="stopword list (default: bundled list)",
     )
-    sub.add_argument("--users", type=int, default=10, help="number of virtual users")
-    sub.add_argument("--k", type=int, default=5, help="primary keyword set size")
     sub.add_argument(
-        "--share-range", type=float, default=100.0,
-        help="half-width D of the random share interval",
+        "--users", dest="n_users", metavar="USERS", type=int,
+        help="number of virtual users",
     )
-    sub.add_argument("--seed", type=int, required=True, help="experiment seed")
-    sub.add_argument("--rounds", type=int, default=1, help="belief-update rounds")
-    sub.add_argument("--agg", choices=("sum", "mean"), default="sum")
-    sub.add_argument("--oov", choices=("drop", "max"), default="drop")
-    sub.add_argument(
-        "--delivery", choices=("round_robin", "seeded_shuffle"), default="round_robin"
-    )
+    sub.add_argument("--k", type=int, help="primary keyword set size")
+    _round_args(sub)
+    sub.add_argument("--rounds", type=int, help="belief-update rounds")
+    sub.add_argument("--agg", dest="aggregation", choices=AGGREGATIONS)
+    sub.add_argument("--oov", choices=OOV_POLICIES)
 
 
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        corpus_path=args.corpus,
-        corpus_format=args.format,
-        idf_path=args.idf,
-        stopword_path=args.stopwords,
-        n_users=args.users,
-        k=args.k,
-        share_range=args.share_range,
-        seed=args.seed,
-        rounds=args.rounds,
-        aggregation=args.agg,
-        oov=args.oov,
-        delivery=args.delivery,
-    )
+def _config_from(cls, args: argparse.Namespace):
+    """The ``cls`` config that the flags storing its fields set; a field
+    whose flag was not given, or that has no flag, keeps its default."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
 
 
 def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
@@ -117,7 +118,7 @@ def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_experiment(_config_from(args))
+    result = run_experiment(_config_from(ExperimentConfig, args))
     paths = write_outputs(result, args.out)
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
     top = result.posterior.ranked_keywords()[:5]
@@ -129,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    result = run_experiment(_config_from(args))
+    result = run_experiment(_config_from(ExperimentConfig, args))
     if result.posterior.order == result.oracle.order:
         print(f"oracle check passed: {len(result.vocab)} keywords, seed {args.seed}")
         return EXIT_OK
@@ -149,9 +150,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     hi = max(b, max(float(v.max()) for _, v in vectors))
     secrets = [secagg.FeatureVector(values=v, bounds=(lo, hi)) for _, v in vectors]
     try:
-        cfg = netsim.RoundConfig(
-            seed=args.seed, share_range=args.share_range, delivery=args.delivery
-        )
+        cfg = _config_from(netsim.RoundConfig, args)
         aggregate, transcript = netsim.run_round(secrets, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -171,10 +170,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     vectors = _load_vectors(args.likelihoods)
-    try:
-        vocab = corpus.load_idf_table(args.idf)
-    except corpus.CorpusFormatError as exc:
-        raise ConfigError(str(exc))
+    vocab = corpus.load_idf_table(args.idf)
     if any(v.shape[0] != len(vocab) for _, v in vectors):
         raise ConfigError("likelihood vectors do not match the vocabulary size")
     total = secagg.ordered_sum([v for _, v in vectors])
@@ -205,21 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_agg = sub.add_parser("aggregate", help="secure aggregation over a vector file")
     p_agg.add_argument("--vectors", required=True, help="JSONL vector file")
-    p_agg.add_argument("--share-range", type=float, default=100.0)
-    p_agg.add_argument("--seed", type=int, required=True)
-    p_agg.add_argument(
-        "--bounds", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B")
-    )
-    p_agg.add_argument(
-        "--delivery", choices=("round_robin", "seeded_shuffle"), default="round_robin"
-    )
+    _round_args(p_agg)
+    bounds = secagg.FeatureVector.bounds  # the default per-user bounds
+    p_agg.add_argument("--bounds", type=float, nargs=2, default=bounds, metavar=("A", "B"))
     p_agg.add_argument("--out", default="out")
     p_agg.set_defaults(func=_cmd_aggregate)
 
     p_rank = sub.add_parser("rank", help="Bayes ranking over likelihood vectors")
     p_rank.add_argument("--likelihoods", required=True, help="JSONL vector file")
     p_rank.add_argument("--idf", default=str(data.idf_table_path()))
-    p_rank.add_argument("--agg", choices=("sum", "mean"), default="sum")
+    p_rank.add_argument(
+        "--agg", choices=AGGREGATIONS, default=ExperimentConfig.aggregation
+    )
     p_rank.add_argument("--out", default="out")
     p_rank.set_defaults(func=_cmd_rank)
 
@@ -235,10 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, corpus.CorpusFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, corpus.CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except netsim.ProtocolViolation as exc:

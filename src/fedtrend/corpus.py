@@ -21,6 +21,7 @@ import numpy as np
 from .secagg import frozen
 
 __all__ = [
+    "CORPUS_FORMATS",
     "CorpusFormatError",
     "CoreferenceHook",
     "Document",
@@ -38,6 +39,9 @@ __all__ = [
     "primary_keyword_set",
     "tokenize",
 ]
+
+#: Corpus file formats that ``load_corpus`` reads.
+CORPUS_FORMATS = ("lines", "jsonl")
 
 #: Hook applied to raw text before tokenization.  The reference pipeline
 #: resolves pronouns to entities with a neural model; that is out of scope
@@ -125,7 +129,7 @@ def load_corpus(path: str | Path, format: str = "lines") -> list[Document]:
     ``jsonl``: one ``{"id": ..., "text": ...}`` object per line.
     Document ids for the ``lines`` format are zero-based ordinals.
     """
-    if format not in ("lines", "jsonl"):
+    if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     docs: list[Document] = []
     with open(path, encoding="utf-8") as handle:

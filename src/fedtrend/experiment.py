@@ -20,6 +20,8 @@ import numpy as np
 from . import __version__, baselines, bayes, corpus, netsim, secagg
 
 __all__ = [
+    "AGGREGATIONS",
+    "OOV_POLICIES",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
@@ -38,6 +40,11 @@ __all__ = [
 #: below this pitch and below any genuine score separation.
 DEFAULT_SCORE_RESOLUTION = 1e-9
 
+#: How a round's aggregate becomes evidence: the sum, or the sum over N.
+AGGREGATIONS = ("sum", "mean")
+#: How ``build_vocabulary`` treats corpus tokens the IDF table lacks.
+OOV_POLICIES = ("drop", "max")
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or unreadable input file."""
@@ -51,12 +58,12 @@ class ExperimentConfig:
     corpus_format: str = "lines"
     n_users: int = 10
     k: int = 5
-    share_range: float = 100.0
+    share_range: float = secagg.DEFAULT_SHARE_RANGE
     seed: int = 0
     rounds: int = 1
     aggregation: str = "sum"
     oov: str = "drop"
-    delivery: str = "round_robin"
+    delivery: str = netsim.DELIVERIES[0]
     alpha0: float = 0.0
     lemmatize: bool = True
     score_resolution: float = DEFAULT_SCORE_RESOLUTION
@@ -68,11 +75,11 @@ class ExperimentConfig:
             raise ConfigError("k must be >= 1")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if self.aggregation not in ("sum", "mean"):
+        if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"unknown aggregation mode: {self.aggregation!r}")
-        if self.oov not in ("drop", "max"):
+        if self.oov not in OOV_POLICIES:
             raise ConfigError(f"unknown oov policy: {self.oov!r}")
-        if self.corpus_format not in ("lines", "jsonl"):
+        if self.corpus_format not in corpus.CORPUS_FORMATS:
             raise ConfigError(f"unknown corpus format: {self.corpus_format!r}")
         try:
             self.round_config()

@@ -38,6 +38,7 @@ from .secagg import FeatureVector, ObfuscatedVector, RangeReport
 
 __all__ = [
     "AGGREGATOR_ID",
+    "DELIVERIES",
     "AdversaryBehavior",
     "AggregatorNode",
     "Message",
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 AGGREGATOR_ID = "aggregator"
+#: Delivery schedules of a round's phases, the default first.
+DELIVERIES = ("round_robin", "seeded_shuffle")
 
 
 class ProtocolViolation(RuntimeError):
@@ -103,10 +106,10 @@ class Transcript:
 class RoundConfig:
     seed: int
     share_range: float = secagg.DEFAULT_SHARE_RANGE
-    delivery: str = "round_robin"
+    delivery: str = DELIVERIES[0]
 
     def __post_init__(self):
-        if self.delivery not in ("round_robin", "seeded_shuffle"):
+        if self.delivery not in DELIVERIES:
             raise ValueError(f"unknown delivery schedule: {self.delivery!r}")
         if not 0 < self.share_range < math.inf:
             raise ValueError("share_range must be positive and finite")
@@ -329,8 +332,8 @@ def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
 
     The one check of a round's inputs: ``ValueError`` unless there is at
     least one user, the secrets share one dimension d >= 1 and one finite
-    pair of bounds, every secret lies inside them, and the round's grid
-    leaves some entry of some secret nonzero (when any is nonzero).
+    pair of bounds, every secret lies inside them, and the grid step is at
+    most D, has a point inside the bounds, and leaves some secret nonzero if any is.
     """
     n = len(secrets)
     if n < 1:
@@ -350,12 +353,19 @@ def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
             raise ValueError(f"secret of user {i} violates its declared bounds")
         peak = max(peak, -low, high)
     f = secagg.grid_bits(n, cfg.share_range, (a, b))
-    # the grid rounds x to 0 exactly when |x| * 2**f <= 1/2
-    if 0 < math.ldexp(peak, f) <= 0.5:
-        raise ValueError(
-            f"share range D={cfg.share_range:g} is too coarse for N={n} users: "
-            f"the grid step 2^{-f} = {2.0 ** -f:g} rounds every secret to 0"
+
+    def unfit(size: str, step_fault: str) -> ValueError:
+        return ValueError(
+            f"share range D={cfg.share_range:g} is too {size} for N={n} users: "
+            f"the grid step 2^{-f} = {2.0 ** -f:g} {step_fault}"
         )
+
+    if math.ldexp(cfg.share_range, f) < 1:
+        raise unfit("narrow", "exceeds D, so every share would be 0")
+    if math.ceil(math.ldexp(a, f)) > math.floor(math.ldexp(b, f)):
+        raise unfit("coarse", f"has no point inside the bounds ({a:g}, {b:g})")
+    if 0 < math.ldexp(peak, f) <= 0.5:  # the grid rounds x to 0 iff |x| * 2**f <= 1/2
+        raise unfit("coarse", "rounds every secret to 0")
     seeds = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     users = [UserNode(i, secrets[i], n, cfg.share_range, rngs[i]) for i in range(n)]
@@ -551,39 +561,35 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
         handle.writelines(_jsonl_lines(transcript))
 
 
+def _read_record(path: str | Path, lineno: int, line: str, parse):
+    """``parse`` of the JSON object on line ``lineno`` of ``path``; a
+    ``ValueError`` naming the path and the line if that line is not JSON,
+    lacks a field or holds a bad value."""
+    try:
+        return parse(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: not JSON ({exc})") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a transcript that ``write_transcript`` wrote.  A message line
-    that is not JSON, lacks a field, names an unknown kind or carries a
-    payload other than base64 of exactly d doubles raises ``ValueError``
-    naming the path and the line."""
+    """Read a transcript that ``write_transcript`` wrote.  A header or
+    message line that is not JSON or lacks a field, a message of an unknown
+    kind and a payload other than base64 of exactly d doubles raise
+    ``ValueError`` naming the path and the line."""
     with open(path, encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        dim = int(header["d"])
-        messages = []
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                messages.append(
-                    Message(
-                        round=int(rec["round"]),
-                        sender=rec["from"],
-                        receiver=rec["to"],
-                        kind=MessageKind(rec["kind"]),
-                        payload=_parse_payload(rec["payload"], dim),
-                    )
-                )
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not JSON ({exc})") from None
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return Transcript(
-        n_users=int(header["N"]),
-        dim=dim,
-        share_range=float(header["D"]),
-        seed=int(header["seed"]),
-        messages=tuple(messages),
-    )
+        header = _read_record(path, 1, handle.readline(), lambda rec: Transcript(
+            int(rec["N"]), int(rec["d"]), float(rec["D"]), int(rec["seed"]), ()
+        ))
+        messages = tuple(
+            _read_record(path, lineno, line, lambda rec: Message(
+                int(rec["round"]), rec["from"], rec["to"], MessageKind(rec["kind"]),
+                _parse_payload(rec["payload"], header.dim),
+            ))
+            for lineno, line in enumerate(handle, start=2)
+            if line.strip()
+        )
+    return replace(header, messages=messages)

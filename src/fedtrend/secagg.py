@@ -10,8 +10,9 @@ Every payload of a round lies on one dyadic grid: it is an exact double
 k * 2**-f.  ``grid_bits`` derives f from N, D and the per-user bounds (a, b)
 as the largest f with N * (2D + max(|a|, |b|)) * 2**f < 2**53, which bounds
 the encoded vector, the kept residual, the obfuscated vector and the
-aggregate.  ``encode`` rounds a vector onto the grid once (an error of at
-most 2**-(f+1) per entry); shares are uniform grid points in [-D, D].  Each
+aggregate.  ``encode`` rounds a vector onto the grid points inside (a, b)
+once (an error of at most 2**-(f+1) per entry, or below 2**-f next to a
+bound off the grid); shares are uniform grid points in [-D, D].  Each
 partial sum of a user's shares is then an integer multiple of 2**-f below
 2**53 of them, so double addition is exact in any order, and the
 correctly rounded ``exact_sum`` gives the aggregate exactly whatever the
@@ -170,9 +171,14 @@ def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> 
 
 def encode(v: FeatureVector, n_users: int, share_range: float) -> np.ndarray:
     """``v`` rounded onto the grid of a round of ``n_users`` with share
-    range ``share_range``, read-only: what that round's shares sum to."""
-    f = grid_bits(n_users, share_range, v.bounds)
-    return frozen(np.ldexp(np.round(np.ldexp(v.values, f)), -f))
+    range ``share_range``, read-only: what that round's shares sum to.
+    Entries round to the nearest grid point inside ``v.bounds``."""
+    a, b = v.bounds
+    f = grid_bits(n_users, share_range, (a, b))
+    low, high = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
+    # two ufunc calls take about half the time of np.clip's dispatch
+    steps = np.minimum(np.maximum(np.round(np.ldexp(v.values, f)), low), high)
+    return frozen(np.ldexp(steps, -f))
 
 
 def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:

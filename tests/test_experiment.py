@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedtrend import baselines, cli, corpus, netsim
+from fedtrend import baselines, cli, corpus, data, netsim
 from fedtrend.experiment import (
     ConfigError,
+    ExperimentConfig,
     build_vocabulary,
     run_experiment,
     sample_user_documents,
@@ -352,6 +354,49 @@ def test_cli_check_agrees_with_run_oracle_match(tmp_path, extra, seed):
     assert cli.main(["check", "--seed", seed, *extra]) == expected
 
 
+def _cli_config(monkeypatch, argv):
+    """The ``ExperimentConfig`` that ``cli.main(argv)`` runs."""
+    configs = []
+
+    def capture(cfg):
+        configs.append(cfg)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    assert cli.main(argv) == 2
+    return configs[0]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "flag, value, field, expected",
+    [
+        ("--corpus", "c.txt", "corpus_path", "c.txt"),
+        ("--format", "jsonl", "corpus_format", "jsonl"),
+        ("--idf", "i.tsv", "idf_path", "i.tsv"),
+        ("--stopwords", "s.txt", "stopword_path", "s.txt"),
+        ("--users", "7", "n_users", 7),
+        ("--k", "3", "k", 3),
+        ("--share-range", "50", "share_range", 50.0),
+        ("--seed", "5", "seed", 5),
+        ("--rounds", "2", "rounds", 2),
+        ("--agg", "mean", "aggregation", "mean"),
+        ("--oov", "max", "oov", "max"),
+        ("--delivery", "seeded_shuffle", "delivery", "seeded_shuffle"),
+    ],
+)
+def test_cli_flag_sets_exactly_its_config_field(monkeypatch, command, flag, value, field, expected):
+    defaults = ExperimentConfig(
+        corpus_path=str(data.msmarco_corpus_path()),
+        idf_path=str(data.idf_table_path()),
+        stopword_path=str(data.stopwords_path()),
+    )
+    assert _cli_config(monkeypatch, [command, "--seed", "0"]) == defaults
+    cfg = _cli_config(monkeypatch, [command, "--seed", "0", flag, value])
+    assert getattr(defaults, field) != expected
+    assert cfg == dataclasses.replace(defaults, **{field: expected})
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli.main(
         ["run", "--seed", "0", "--corpus", str(tmp_path / "missing.txt"), "--out", "x"]
@@ -424,12 +469,14 @@ def test_cli_aggregate_range_failure_exit_code(tmp_path):
 @pytest.mark.parametrize("big", [1e300, 1e308])
 def test_cli_aggregate_huge_values_fail_range_validation(tmp_path, capsys, big):
     # values near the largest double: the grid stays exact below them, and
-    # a sum that overflows fails range validation instead of raising
+    # a sum that overflows fails range validation instead of raising; the
+    # share range is wide enough for a grid step that leaves shares nonzero
     vectors = tmp_path / "vectors.jsonl"
     with open(vectors, "w", encoding="utf-8") as handle:
         for i in range(2):
             handle.write(json.dumps({"id": str(i), "values": [big, 0.5]}) + "\n")
-    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(tmp_path)]
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(tmp_path),
+            "--share-range", "1e300"]
     assert cli.main(argv) == 4
     assert "range validation FAILED: ((0," in capsys.readouterr().err
     # the transcript reloads, and every Aggregate payload is the aggregate
@@ -443,6 +490,17 @@ def test_cli_aggregate_huge_values_fail_range_validation(tmp_path, capsys, big):
     ]
     assert len(copies) == 2
     assert all(c.tobytes() == aggregate.tobytes() for c in copies)
+
+
+@pytest.mark.parametrize("share_range", ["1e12", "1e13"])
+def test_cli_aggregate_in_bound_vectors_pass_range_validation(tmp_path, share_range):
+    # 0.7 lies between grid points; it encodes to the point below it, inside
+    # the bounds, rather than to the nearer one above
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text('{"values": [0.7, 0.3]}\n' * 2, encoding="utf-8")
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--bounds", "0.3", "0.7",
+            "--share-range", share_range, "--out", str(tmp_path / "agg")]
+    assert cli.main(argv) == 0
 
 
 def test_cli_rank_over_likelihood_file(tmp_path):
@@ -526,8 +584,21 @@ VALID_VECTOR_FILE = (
             ["--share-range", "1e16"],
             "share range D=1e+16 is too coarse for N=2 users: the grid step 2^3 = 8",
         ),
+        (
+            ["--share-range", "1e-20"],
+            "share range D=1e-20 is too narrow for N=2 users: the grid step 2^-51",
+        ),
+        # the envelope of the bounds sets a grid step of 2^15 at D = 100
+        (
+            ["--bounds", "0", "1e20"],
+            "share range D=100 is too narrow for N=2 users: the grid step 2^15 = 32768 "
+            "exceeds D, so every share would be 0",
+        ),
     ],
-    ids=["D_nan", "D_negative", "D_inf", "seed_negative", "bound_inf", "D_too_coarse"],
+    ids=[
+        "D_nan", "D_negative", "D_inf", "seed_negative", "bound_inf", "D_too_coarse",
+        "D_too_narrow", "bounds_too_wide",
+    ],
 )
 def test_cli_aggregate_fault_table(tmp_path, capsys, extra, cause):
     vectors = tmp_path / "vectors.jsonl"

@@ -26,7 +26,14 @@ from fedtrend.netsim import (
     transcript_to_jsonl,
     write_transcript,
 )
-from fedtrend.secagg import FeatureVector, encode, exact_sum, ordered_sum, seeded_rng
+from fedtrend.secagg import (
+    FeatureVector,
+    encode,
+    exact_sum,
+    ordered_sum,
+    seeded_rng,
+    validate_aggregate,
+)
 
 
 def random_secrets(n, d, seed):
@@ -419,6 +426,26 @@ ROUND_INPUT_FAULTS = {
         1e16,
         r"^share range D=1e\+16 is too coarse for N=2 users: the grid step 2\^3 = 8",
     ),
+    # a grid step above D leaves every share at 0, so each obfuscated
+    # vector would be its sender's encoded secret
+    "zero_width_shares": (
+        [fv(0.2, 0.4), fv(0.3, 0.1)],
+        1e-20,
+        r"^share range D=1e-20 is too narrow for N=2 users: the grid step "
+        r"2\^-51 = 4\.44089e-16 exceeds D, so every share would be 0$",
+    ),
+    "zero_width_shares_wide_bounds": (
+        [fv(1e20, 0.4, bounds=(0.0, 1e20)), fv(0.3, 3e5, bounds=(0.0, 1e20))],
+        100.0,
+        r"^share range D=100 is too narrow for N=2 users: the grid step 2\^15 = 32768 ",
+    ),
+    # step 2^-11 at D = 1e12: 0.3 * 2^11 = 614.4 and 0.3001 * 2^11 = 614.6
+    "no_grid_point_in_bounds": (
+        [fv(0.3, bounds=(0.3, 0.3001)), fv(0.3001, bounds=(0.3, 0.3001))],
+        1e12,
+        r"^share range D=1e\+12 is too coarse for N=2 users: the grid step "
+        r"2\^-11 = 0\.000488281 has no point inside the bounds \(0\.3, 0\.3001\)$",
+    ),
 }
 
 
@@ -432,6 +459,32 @@ def test_round_entries_share_one_input_check(entry, fault):
             run_round(secrets, cfg)
         else:
             inject_adversary(secrets, cfg, "out_of_range_share", adversary=1)
+
+
+@st.composite
+def in_bound_rounds(draw):
+    """Secrets inside one pair of bounds, of any scale, and a share range."""
+    scale = 10.0 ** draw(st.integers(min_value=-3, max_value=25))
+    a = draw(st.floats(min_value=-scale, max_value=scale))
+    b = draw(st.floats(min_value=a, max_value=a + scale))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entries = st.lists(st.floats(min_value=a, max_value=b), min_size=d, max_size=d)
+    secrets = [fv(*draw(entries), bounds=(a, b)) for _ in range(n)]
+    return secrets, 10.0 ** draw(st.floats(min_value=-20, max_value=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_=in_bound_rounds())
+# 0.7 * 2^11 = 1433.6 would round up past the bound 0.7 at D = 1e12
+@example(round_=([fv(0.7, 0.3, bounds=(0.3, 0.7))] * 2, 1e12))
+def test_accepted_rounds_over_in_bound_secrets_pass_range_validation(round_):
+    secrets, share_range = round_
+    try:
+        agg, _ = run_round(secrets, RoundConfig(seed=0, share_range=share_range))
+    except ValueError:
+        return  # no round runs on a grid that cannot carry these secrets
+    report = validate_aggregate(agg, len(secrets), secrets[0].bounds)
+    assert report.ok, report.flagged
 
 
 def test_all_zero_secrets_pass_any_grid():
@@ -520,24 +573,28 @@ def test_load_transcript_rejects_malformed_payload(tmp_path, payload, reason):
 
 
 @pytest.mark.parametrize(
-    "line, reason",
+    "index, line, reason",
     [
-        ("not json\n", r"not JSON \(Expecting value"),
-        ('{"round": 0, "from": "0", "to": "1", "payload": ""}\n', r"missing field 'kind'$"),
+        (3, "not json\n", r"not JSON \(Expecting value"),
+        (3, '{"round": 0, "from": "0", "to": "1", "payload": ""}\n', r"missing field 'kind'$"),
         (
+            3,
             '{"round": 0, "from": "0", "to": "1", "kind": "Shared", "payload": ""}\n',
             r"'Shared' is not a valid MessageKind$",
         ),
+        (0, "garbage\n", r"not JSON \(Expecting value"),
+        (0, '{"N": 2, "D": 100.0, "seed": 5}\n', r"missing field 'd'$"),
     ],
-    ids=["not_json", "missing_field", "unknown_kind"],
+    ids=["not_json", "missing_field", "unknown_kind", "header_not_json", "header_without_d"],
 )
-def test_load_transcript_names_the_bad_line(tmp_path, line, reason):
+def test_load_transcript_names_the_bad_line(tmp_path, index, line, reason):
     _, transcript = run_round(random_secrets(2, 2, seed=5), RoundConfig(seed=5))
     lines = transcript_to_jsonl(transcript).splitlines(keepends=True)
-    lines[3] = line
+    lines[index] = line
     path = tmp_path / "transcript.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: {reason}"):
+    where = f"^{re.escape(str(path))}: line {index + 1}: "
+    with pytest.raises(ValueError, match=where + reason):
         load_transcript(path)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedtrend.bayes import PosteriorRanking, PriorDistribution
@@ -90,6 +90,9 @@ def test_diagonal_is_exact_residual():
     high=st.floats(min_value=0.0, max_value=1e6),
     seed=st.integers(min_value=0, max_value=2**31),
 )
+# bounds off the grid of step 2**-7: no grid point inside them lies within
+# half a step of -0.99627
+@example(n=35, share_range=502633886983.0, high=0.998046875, seed=35)
 def test_shares_are_grid_points_that_sum_exactly(n, share_range, high, seed):
     rng = seeded_rng(seed)
     v = FeatureVector(values=rng.uniform(-high, high, 7), bounds=(-high, high))
@@ -103,7 +106,13 @@ def test_shares_are_grid_points_that_sum_exactly(n, share_range, high, seed):
     others = np.delete(share_set.shares, seed % n, axis=0)
     assert np.all(np.abs(others) <= share_range)
     encoded = encode(v, n, share_range)
-    assert np.all(np.abs(encoded - v.values) <= 2.0 ** -(f + 1))
+    step = 2.0**-f
+    # the nearest grid point inside the bounds: at most half a step away, or,
+    # next to a bound off the grid, the outermost grid point, under a step away
+    error = np.abs(encoded - v.values)
+    assert np.all((-high <= encoded) & (encoded <= high))
+    outermost = (encoded - step < -high) | (encoded + step > high)
+    assert np.all((error <= step / 2) | (outermost & (error < step)))
     assert np.array_equal(ordered_sum(share_set.shares), encoded)
     assert np.array_equal(ordered_sum(share_set.shares[::-1]), encoded)
 
