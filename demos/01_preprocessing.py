@@ -16,7 +16,7 @@ print(f"loaded {len(docs)} documents")
 doc = docs[20]  # a passage about plant tissue
 print("\nraw text:", doc.raw_text[:90], "...")
 print("tokens:  ", doc.tokens[:12], "...")
-print("top-5 keywords:", sorted(corpus.primary_keyword_set(doc, 5).keywords))
+print("top-5 keywords:", sorted(corpus.primary_keyword_set(doc, 5)))
 
 vocab = corpus.load_idf_table(data.idf_table_path())
 print(f"\nvocabulary: {len(vocab)} terms with IDF weights")

@@ -153,7 +153,7 @@ def local_likelihoods(
         for doc in user_docs:
             doc_columns = columns.get(doc)
             if doc_columns is None:
-                keywords = primary_keyword_set(doc, k).keywords
+                keywords = primary_keyword_set(doc, k)
                 doc_columns = columns[doc] = [
                     j for j in map(vocab.index_of, keywords) if j is not None
                 ]

@@ -1,10 +1,9 @@
 """Document loading and the deterministic NLP preprocessing pipeline.
 
-The pipeline runs, in order: coreference hook (identity by default),
-lower-casing, whitespace tokenization with punctuation stripping, stopword
-removal, rule-based suffix lemmatization, and a final stopword filter to
-keep lemmas out of the stopword set.  Everything here is a pure function of
-its inputs, so results are reproducible byte-for-byte.
+The pipeline runs, in order: lower-casing, whitespace tokenization with
+punctuation stripping, stopword removal, rule-based suffix lemmatization,
+and a final stopword filter to keep lemmas out of the stopword set.  Every
+function here is pure, so results are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,14 +22,11 @@ from .secagg import frozen
 __all__ = [
     "CORPUS_FORMATS",
     "CorpusFormatError",
-    "CoreferenceHook",
     "Document",
     "PreprocessConfig",
-    "PrimaryKeywordSet",
     "VocabularyIndex",
     "default_preprocess_config",
     "document_frequency",
-    "identity_coreference",
     "lemmatize",
     "load_corpus",
     "load_idf_table",
@@ -42,15 +38,6 @@ __all__ = [
 
 #: Corpus file formats that ``load_corpus`` reads.
 CORPUS_FORMATS = ("lines", "jsonl")
-
-#: Hook applied to raw text before tokenization.  The reference pipeline
-#: resolves pronouns to entities with a neural model; that is out of scope
-#: here, so the default hook returns the text unchanged.
-CoreferenceHook = Callable[[str], str]
-
-
-def identity_coreference(text: str) -> str:
-    return text
 
 
 class CorpusFormatError(ValueError):
@@ -70,15 +57,6 @@ class Document:
 class PreprocessConfig:
     stopwords: frozenset[str]
     lemmatize: bool = True
-    coreference: CoreferenceHook = identity_coreference
-
-
-@dataclass(frozen=True)
-class PrimaryKeywordSet:
-    """The top-K tokens of one document by within-document term frequency."""
-
-    doc_id: str
-    keywords: frozenset[str]
 
 
 class VocabularyIndex:
@@ -105,13 +83,6 @@ class VocabularyIndex:
 
     def __contains__(self, keyword: str) -> bool:
         return keyword in self._index
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, VocabularyIndex)
-            and self.keywords == other.keywords
-            and np.array_equal(self.idf, other.idf)
-        )
 
     def index_of(self, keyword: str) -> int | None:
         return self._index.get(keyword)
@@ -271,9 +242,7 @@ def preprocess(doc: Document, cfg: PreprocessConfig) -> Document:
     Stopwords are filtered both before lemmatization (per the pipeline
     order) and after it, so no emitted token is ever a stopword.
     """
-    text = cfg.coreference(doc.raw_text)
-    tokens: Iterable[str] = tokenize(text)
-    tokens = [t for t in tokens if t not in cfg.stopwords]
+    tokens = [t for t in tokenize(doc.raw_text) if t not in cfg.stopwords]
     if cfg.lemmatize:
         tokens = [lemmatize(t) for t in tokens]
         tokens = [t for t in tokens if t not in cfg.stopwords]
@@ -285,7 +254,7 @@ def preprocess(doc: Document, cfg: PreprocessConfig) -> Document:
 # ---------------------------------------------------------------------------
 
 
-def primary_keyword_set(doc: Document, k: int = 5) -> PrimaryKeywordSet:
+def primary_keyword_set(doc: Document, k: int = 5) -> frozenset[str]:
     """Top-``k`` tokens by term frequency, ties lexicographic ascending.
 
     With fewer than ``k`` distinct tokens, all of them are returned.
@@ -294,9 +263,7 @@ def primary_keyword_set(doc: Document, k: int = 5) -> PrimaryKeywordSet:
         raise ValueError("k must be a positive integer")
     counts = Counter(doc.tokens)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return PrimaryKeywordSet(
-        doc_id=doc.id, keywords=frozenset(token for token, _ in ranked[:k])
-    )
+    return frozenset(token for token, _ in ranked[:k])
 
 
 def document_frequency(docs: Sequence[Document], vocab: VocabularyIndex) -> np.ndarray:

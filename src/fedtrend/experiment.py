@@ -104,14 +104,12 @@ class ExperimentConfig:
 class ExperimentResult:
     config: ExperimentConfig
     vocab: corpus.VocabularyIndex
-    documents: list[corpus.Document]
     user_docs: list[list[corpus.Document]]
     likelihoods: list[bayes.LikelihoodVector]
     initial_prior: bayes.PriorDistribution
     aggregate: secagg.FeatureVector
     validation: secagg.RangeReport
     posterior: bayes.PosteriorRanking
-    posteriors_per_round: list[bayes.PosteriorRanking]
     oracle: bayes.PosteriorRanking
     count_ranking: baselines.CountRanking
     pooled_ranking: baselines.CountRanking
@@ -266,14 +264,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         config=cfg,
         vocab=vocab,
-        documents=documents,
         user_docs=user_docs,
         likelihoods=likelihoods,
         initial_prior=prior,
         aggregate=aggregate,
         validation=validation,
         posterior=final,
-        posteriors_per_round=posteriors,
         oracle=oracle,
         count_ranking=count_ranking,
         pooled_ranking=pooled_ranking,

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import secagg
-from .secagg import FeatureVector, ObfuscatedVector, RangeReport
+from .secagg import FeatureVector, RangeReport
 
 __all__ = [
     "AGGREGATOR_ID",
@@ -190,33 +190,26 @@ class UserNode:
     def _maybe_obfuscate(self, round_no: int) -> Message | None:
         if len(self.received) != self.n_users - 1:
             return None
-        combined = secagg.combine_received(
-            self.kept, list(self.received.values()), owner=self.index
-        )
+        total = secagg.combine_received(self.kept, list(self.received.values()))
         # a non-finite entry in any share makes the sum non-finite, so one
         # check of the sum covers every share before anything is sent
-        if not np.isfinite(combined.values).all():
+        if not np.isfinite(total).all():
             for sender, share in self.received.items():
                 if not np.isfinite(share).all():
                     raise ProtocolViolation(
                         f"user {self.id}: share from {sender} has a non-finite entry"
                     )
         self.phase = _Phase.OBFUSCATED
-        return Message(
-            round_no, self.id, AGGREGATOR_ID, MessageKind.OBFUSCATED, combined.values
-        )
+        return Message(round_no, self.id, AGGREGATOR_ID, MessageKind.OBFUSCATED, total)
 
     def receive_aggregate(self, msg: Message) -> None:
         if self.phase is not _Phase.OBFUSCATED:
             raise ProtocolViolation(
                 f"user {self.id}: aggregate received in phase {self.phase.value}"
             )
-        self.result = FeatureVector(values=msg.payload, bounds=self._result_bounds())
-        self.phase = _Phase.DONE
-
-    def _result_bounds(self) -> tuple[float, float]:
         a, b = self.secret.bounds
-        return (self.n_users * a, self.n_users * b)
+        self.result = FeatureVector(msg.payload, (self.n_users * a, self.n_users * b))
+        self.phase = _Phase.DONE
 
 
 class AggregatorNode:
@@ -247,8 +240,7 @@ class AggregatorNode:
         self.buffer[owner] = msg.payload
         if len(self.buffer) == self.n_users:
             self.result = secagg.aggregate(
-                [ObfuscatedVector(owner=i, values=v) for i, v in self.buffer.items()],
-                per_user_bounds=self.per_user_bounds,
+                list(self.buffer.values()), per_user_bounds=self.per_user_bounds
             )
 
     def finish(self) -> FeatureVector:
@@ -277,11 +269,7 @@ def _schedule(batches: list[list[Message]], delivery: str, rng) -> list[Message]
     return [b[i] for i in range(width) for b in batches if i < len(b)]
 
 
-def _honest(msg: Message) -> Message:
-    return msg
-
-
-def _execute_round(users, cfg, round_index, deliver_rng, send=_honest):
+def _execute_round(users, cfg, round_index, deliver_rng, send=lambda msg: msg):
     """Deliver one round among ``users``; ``send`` maps each message a user
     emits to the message the wire carries."""
     n = len(users)
@@ -331,9 +319,9 @@ def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
     """The users of a round over ``secrets``, and its delivery rng.
 
     The one check of a round's inputs: ``ValueError`` unless there is at
-    least one user, the secrets share one dimension d >= 1 and one finite
-    pair of bounds, every secret lies inside them, and the grid step is at
-    most D, has a point inside the bounds, and leaves some secret nonzero if any is.
+    least one user, the secrets share one dimension d >= 1 and one pair of
+    bounds, every secret lies inside them, and ``secagg.check_grid``
+    accepts the grid for them.
     """
     n = len(secrets)
     if n < 1:
@@ -344,28 +332,13 @@ def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
     if len(bounds) != 1:
         raise ValueError("all secrets must declare the same bounds")
     a, b = bounds.pop()
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bounds ({a:g}, {b:g}) must be finite")
-    peak = 0.0
+    low, high = math.inf, -math.inf
     for i, s in enumerate(secrets):
-        low, high = float(s.values.min()), float(s.values.max())
-        if not a <= low <= high <= b:  # NaN fails too
+        s_low, s_high = float(s.values.min()), float(s.values.max())
+        if not a <= s_low <= s_high <= b:  # NaN fails too
             raise ValueError(f"secret of user {i} violates its declared bounds")
-        peak = max(peak, -low, high)
-    f = secagg.grid_bits(n, cfg.share_range, (a, b))
-
-    def unfit(size: str, step_fault: str) -> ValueError:
-        return ValueError(
-            f"share range D={cfg.share_range:g} is too {size} for N={n} users: "
-            f"the grid step 2^{-f} = {2.0 ** -f:g} {step_fault}"
-        )
-
-    if math.ldexp(cfg.share_range, f) < 1:
-        raise unfit("narrow", "exceeds D, so every share would be 0")
-    if math.ceil(math.ldexp(a, f)) > math.floor(math.ldexp(b, f)):
-        raise unfit("coarse", f"has no point inside the bounds ({a:g}, {b:g})")
-    if 0 < math.ldexp(peak, f) <= 0.5:  # the grid rounds x to 0 iff |x| * 2**f <= 1/2
-        raise unfit("coarse", "rounds every secret to 0")
+        low, high = min(low, s_low), max(high, s_high)
+    secagg.check_grid(n, cfg.share_range, (a, b), (low, high))
     seeds = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     users = [UserNode(i, secrets[i], n, cfg.share_range, rngs[i]) for i in range(n)]
@@ -454,7 +427,7 @@ class PrivacyReport:
 def _canonical_bytes(values: np.ndarray) -> bytes:
     # fold -0.0 onto +0.0 so byte equality matches numeric equality
     v = np.asarray(values, dtype=np.float64)
-    return secagg.vector_to_bytes(np.where(v == 0.0, 0.0, v))
+    return np.where(v == 0.0, 0.0, v).astype("<f8").tobytes()
 
 
 def transcript_privacy_check(

@@ -10,14 +10,17 @@ Every payload of a round lies on one dyadic grid: it is an exact double
 k * 2**-f.  ``grid_bits`` derives f from N, D and the per-user bounds (a, b)
 as the largest f with N * (2D + max(|a|, |b|)) * 2**f < 2**53, which bounds
 the encoded vector, the kept residual, the obfuscated vector and the
-aggregate.  ``encode`` rounds a vector onto the grid points inside (a, b)
-once (an error of at most 2**-(f+1) per entry, or below 2**-f next to a
-bound off the grid); shares are uniform grid points in [-D, D].  Each
-partial sum of a user's shares is then an integer multiple of 2**-f below
-2**53 of them, so double addition is exact in any order, and the
-correctly rounded ``exact_sum`` gives the aggregate exactly whatever the
-order of its vectors.  The aggregate equals the exact sum of the encoded
-vectors.
+aggregate.  It refuses the grids that cannot serve a round: a step above
+D, where every share would be 0 and each vector would travel unmasked, and
+a grid with no point inside (a, b); ``check_grid`` also refuses the grids
+that would lose what a round's secrets carry.  ``encode`` rounds a vector
+onto the grid points inside (a, b) once (an error of at most 2**-(f+1) per
+entry, or below 2**-f next to a bound off the grid); shares are uniform
+grid points in [-D, D].  Each partial sum of a user's shares is then an
+integer multiple of 2**-f below 2**53 of them, so double addition is exact
+in any order, and the correctly rounded ``exact_sum`` gives the aggregate
+exactly whatever the order of its vectors.  The aggregate equals the exact
+sum of the encoded vectors.
 
 Arrays have one owner: the code that makes an array freezes it once, in
 place, and every consumer shares it by reference.  Each class that keeps
@@ -33,7 +36,6 @@ have just made.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,11 +43,10 @@ import numpy as np
 
 __all__ = [
     "FeatureVector",
-    "ObfuscatedVector",
     "RangeReport",
     "ShareSet",
-    "SystemEntropySource",
     "aggregate",
+    "check_grid",
     "combine_received",
     "encode",
     "exact_sum",
@@ -55,8 +56,6 @@ __all__ = [
     "ordered_sum",
     "seeded_rng",
     "validate_aggregate",
-    "vector_from_bytes",
-    "vector_to_bytes",
 ]
 
 #: Name of the deterministic generator recorded in run metadata.
@@ -84,27 +83,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-class SystemEntropySource:
-    """Non-deterministic share randomness drawn from the OS entropy pool.
-
-    Drop-in for the ``integers`` surface of ``numpy.random.Generator`` that
-    ``make_shares`` uses; meant for production rounds where seeds must not
-    be reused.
-    """
-
-    def integers(self, low: int, high: int, size) -> np.ndarray:
-        """Uniform int64 in [low, high).  Unbiased: each draw keeps the low
-        bits that cover the span, and draws that land past it are redrawn."""
-        span = high - low
-        mask = np.uint64((1 << (span - 1).bit_length()) - 1)
-        n = int(np.prod(size))
-        out = np.empty(0, dtype=np.uint64)
-        while out.size < n:
-            raw = np.frombuffer(os.urandom(8 * (n - out.size)), dtype=np.uint64) & mask
-            out = np.concatenate([out, raw[raw < span]])
-        return (out.astype(np.int64) + low).reshape(size)
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Dense vector of doubles with per-vector value bounds [a, b]."""
@@ -130,14 +108,9 @@ class ShareSet:
 
     owner: int
     shares: np.ndarray
-    share_range: float
 
     def __post_init__(self):
         object.__setattr__(self, "shares", frozen(self.shares))
-
-    @property
-    def n_users(self) -> int:
-        return self.shares.shape[0]
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -148,25 +121,55 @@ class ShareSet:
         return self.shares[recipient]
 
 
-@dataclass(frozen=True, eq=False)
-class ObfuscatedVector:
-    """A user's kept share plus everything received; unbounded entries."""
-
-    owner: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", frozen(self.values))
+def _grid_fault(n_users, share_range, f, size: str, fault: str) -> ValueError:
+    """The error for a round's grid of step 2**-f that is too ``size``."""
+    return ValueError(
+        f"share range D={share_range:g} is too {size} for N={n_users} users: "
+        f"the grid step 2^{-f} = {2.0 ** -f:g} {fault}"
+    )
 
 
 def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> int:
     """Bits f of a round's grid 2**-f: the largest f with
-    ``n_users * (2 * share_range + max(|a|, |b|)) * 2**f < 2**53``."""
+    ``n_users * (2 * share_range + max(|a|, |b|)) * 2**f < 2**53``.
+
+    ``ValueError`` if a bound is not finite, the step exceeds
+    ``share_range`` or no grid point lies inside ``bounds``.
+    """
     a, b = bounds
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds ({a:g}, {b:g}) must be finite")
     # N * (2D + M) = 2N * (D + M/2): adding the exponents of the two factors
     # keeps every intermediate finite
     mantissa, exponent = math.frexp(share_range + max(abs(a), abs(b)) / 2)
-    return 52 - exponent - math.frexp(n_users * mantissa)[1]
+    f = 52 - exponent - math.frexp(n_users * mantissa)[1]
+    if math.ldexp(share_range, f) < 1:
+        fault = "narrow", "exceeds D, so every share would be 0"
+    elif math.ceil(math.ldexp(a, f)) > math.floor(math.ldexp(b, f)):
+        fault = "coarse", f"has no point inside the bounds ({a:g}, {b:g})"
+    else:
+        return f
+    raise _grid_fault(n_users, share_range, f, *fault)
+
+
+def check_grid(n_users: int, share_range: float, bounds: tuple, span: tuple) -> None:
+    """``ValueError`` unless ``grid_bits`` accepts the round's grid and the
+    grid keeps secrets whose entries span ``span``: nonzero entries do not
+    all round to the grid point nearest 0, and every entry is p where the
+    bounds hold one grid point p."""
+    (a, b), (low, high) = bounds, span
+    f = grid_bits(n_users, share_range, bounds)
+    first, last = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
+    # encode rounds x to 0 iff |x| * 2**f <= 1/2, then clips into the bounds
+    nearest = math.ldexp(min(max(0, first), last), -f)
+    if 0 < math.ldexp(max(-low, high), f) <= 0.5:
+        where = f", the grid point nearest 0 inside the bounds ({a:g}, {b:g})"
+        fault = f"rounds every secret to {nearest:g}" + (where if nearest else "")
+    elif first == last and not low == high == nearest:
+        fault = f"leaves one point, {nearest:g}, inside the bounds ({a:g}, {b:g})"
+    else:
+        return
+    raise _grid_fault(n_users, share_range, f, "coarse", fault)
 
 
 def encode(v: FeatureVector, n_users: int, share_range: float) -> np.ndarray:
@@ -223,7 +226,7 @@ def make_shares(
     v: FeatureVector,
     n_users: int,
     share_range: float = DEFAULT_SHARE_RANGE,
-    rng: np.random.Generator | SystemEntropySource | None = None,
+    rng: np.random.Generator | None = None,
     owner: int = 0,
 ) -> ShareSet:
     """Split ``v`` into ``n_users`` additive shares on the round's grid.
@@ -248,22 +251,24 @@ def make_shares(
     shares = np.ldexp(rng.integers(-width, width + 1, size=(n_users, len(v))), -f)
     shares[owner] = encode(v, n_users, share_range) - (shares.sum(axis=0) - shares[owner])
     shares.setflags(write=False)
-    return ShareSet(owner=owner, shares=shares, share_range=share_range)
+    return ShareSet(owner=owner, shares=shares)
 
 
 def combine_received(
     kept: np.ndarray, received: Sequence[np.ndarray], owner: int = 0
-) -> ObfuscatedVector:
-    """Kept share plus received shares, exact in any order on the grid."""
+) -> np.ndarray:
+    """User ``owner``'s obfuscated vector, read-only: her kept share plus
+    the shares she received, exact in any order on the grid.  The sum does
+    not depend on ``owner``."""
     kept = np.asarray(kept, dtype=np.float64)
     for vec in received:
         if np.asarray(vec).shape != kept.shape:
             raise ValueError("received share length does not match kept share")
-    return ObfuscatedVector(owner=owner, values=ordered_sum([kept, *received]))
+    return ordered_sum([kept, *received])
 
 
 def aggregate(
-    obfuscated: Sequence[ObfuscatedVector],
+    obfuscated: Sequence[np.ndarray],
     per_user_bounds: tuple[float, float] = (0.0, 1.0),
 ) -> FeatureVector:
     """Coordinate-wise ``exact_sum`` of all obfuscated vectors, in any order.
@@ -273,12 +278,12 @@ def aggregate(
     """
     if not obfuscated:
         raise ValueError("nothing to aggregate")
-    dims = {o.values.shape[0] for o in obfuscated}
+    dims = {len(o) for o in obfuscated}
     if len(dims) != 1:
         raise ValueError("obfuscated vectors disagree on dimension")
     n = len(obfuscated)
     a, b = per_user_bounds
-    total = exact_sum([o.values for o in obfuscated])
+    total = exact_sum(obfuscated)
     return FeatureVector(values=total, bounds=(n * a, n * b))
 
 
@@ -314,12 +319,3 @@ def validate_aggregate(
     bad = np.flatnonzero(~((values >= low) & (values <= high)))
     flagged = tuple((int(j), float(values[j])) for j in bad)
     return RangeReport(flagged=flagged, low=low, high=high, tolerance=tolerance)
-
-
-def vector_to_bytes(values: np.ndarray) -> bytes:
-    """Little-endian IEEE-754 double serialization of a vector."""
-    return np.asarray(values, dtype="<f8").tobytes()
-
-
-def vector_from_bytes(raw: bytes) -> np.ndarray:
-    return np.frombuffer(raw, dtype="<f8").copy()

@@ -141,7 +141,7 @@ def _reference_likelihood(docs, vocab, k, alpha0):
     # One primary keyword set per sampled copy, counted as floats.
     counts = np.zeros(len(vocab), dtype=np.float64)
     for doc in docs:
-        for keyword in primary_keyword_set(doc, k).keywords:
+        for keyword in primary_keyword_set(doc, k):
             j = vocab.index_of(keyword)
             if j is not None:
                 counts[j] += 1.0

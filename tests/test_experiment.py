@@ -106,7 +106,7 @@ def test_experiment_single_user_single_document(tmp_path):
         if result.posterior.scores[j] > 0
     }
     doc = result.user_docs[0][0]
-    pks = corpus.primary_keyword_set(doc, 5).keywords
+    pks = corpus.primary_keyword_set(doc, 5)
     assert nonzero == {kw for kw in pks if kw in result.vocab}
     ranked_nonzero = [kw for kw in result.posterior.ranked_keywords() if kw in nonzero]
     by_prior = sorted(
@@ -570,11 +570,13 @@ def test_cli_aggregate_rejects_malformed_values(tmp_path, capsys, bad_values):
 VALID_VECTOR_FILE = (
     '{"id": "u0", "values": [0.2, 0.4]}\n{"id": "u1", "values": [0.3, 0.1]}\n'
 )
+ONE_POINT_VECTOR_FILE = '{"values": [0.1]}\n{"values": [0.6]}\n'
+SMALL_VECTOR_FILE = '{"values": [0.1]}\n{"values": [0.1]}\n'
 
 
 @pytest.mark.parametrize(
-    "extra, cause",
-    [
+    "extra, cause, text",
+    [(extra, cause, VALID_VECTOR_FILE) for extra, cause in [
         (["--share-range", "nan"], "share_range must be positive and finite"),
         (["--share-range", "-1"], "share_range must be positive and finite"),
         (["--share-range", "inf"], "share_range must be positive and finite"),
@@ -594,15 +596,31 @@ VALID_VECTOR_FILE = (
             "share range D=100 is too narrow for N=2 users: the grid step 2^15 = 32768 "
             "exceeds D, so every share would be 0",
         ),
+    ]] + [
+        # step 1 at D = 2^50: both vectors would encode to 1, the one grid
+        # point inside the bounds, and aggregate to 2 for a true sum of 0.7
+        (
+            ["--bounds", "0.1", "1", "--share-range", "1125899906842624"],
+            "the grid step 2^0 = 1 leaves one point, 1, inside the bounds (0.1, 1)",
+            ONE_POINT_VECTOR_FILE,
+        ),
+        # step 1 at D = 2^50 with points 1, 2 and 3 inside the bounds: both
+        # vectors would encode to 1 and aggregate to 2 for a true sum of 0.2
+        (
+            ["--bounds", "0.1", "3", "--share-range", "1125899906842624"],
+            "the grid step 2^0 = 1 rounds every secret to 1, the grid point "
+            "nearest 0 inside the bounds (0.1, 3)",
+            SMALL_VECTOR_FILE,
+        ),
     ],
     ids=[
         "D_nan", "D_negative", "D_inf", "seed_negative", "bound_inf", "D_too_coarse",
-        "D_too_narrow", "bounds_too_wide",
+        "D_too_narrow", "bounds_too_wide", "one_grid_point", "secrets_off_zero",
     ],
 )
-def test_cli_aggregate_fault_table(tmp_path, capsys, extra, cause):
+def test_cli_aggregate_fault_table(tmp_path, capsys, extra, cause, text):
     vectors = tmp_path / "vectors.jsonl"
-    vectors.write_text(VALID_VECTOR_FILE, encoding="utf-8")
+    vectors.write_text(text, encoding="utf-8")
     out = tmp_path / "agg"
     argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(out)]
     assert cli.main(argv + extra) == 2

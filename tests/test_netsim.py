@@ -446,6 +446,36 @@ ROUND_INPUT_FAULTS = {
         r"^share range D=1e\+12 is too coarse for N=2 users: the grid step "
         r"2\^-11 = 0\.000488281 has no point inside the bounds \(0\.3, 0\.3001\)$",
     ),
+    # step 1 at D = 2^50: both secrets would encode to 1, the one grid point
+    # inside the bounds, and the aggregate would read 2 for a true sum of 0.7
+    "one_grid_point": (
+        [fv(0.1, bounds=(0.1, 1.0)), fv(0.6, bounds=(0.1, 1.0))],
+        2.0**50,
+        r"^share range D=1\.1259e\+15 is too coarse for N=2 users: the grid step "
+        r"2\^0 = 1 leaves one point, 1, inside the bounds \(0\.1, 1\)$",
+    ),
+    # 0 lies outside the bounds, so no secret encodes to 0; each encodes to 1
+    "one_grid_point_above_zero": (
+        [fv(0.1, bounds=(0.1, 1.0)), fv(0.1, bounds=(0.1, 1.0))],
+        2.0**50,
+        r"2\^0 = 1 rounds every secret to 1, the grid point nearest 0 inside the "
+        r"bounds \(0\.1, 1\)$",
+    ),
+    # step 1 at D = 2^50 with points 1, 2 and 3 inside the bounds: both
+    # secrets would encode to 1, the point nearest 0, and sum to 2, not 0.2
+    "every_secret_to_the_point_nearest_zero": (
+        [fv(0.1, bounds=(0.1, 3.0)), fv(0.1, bounds=(0.1, 3.0))],
+        2.0**50,
+        r"^share range D=1\.1259e\+15 is too coarse for N=2 users: the grid step "
+        r"2\^0 = 1 rounds every secret to 1, the grid point nearest 0 inside the "
+        r"bounds \(0\.1, 3\)$",
+    ),
+    "every_secret_to_the_point_nearest_zero_below_zero": (
+        [fv(-0.1, -0.2, bounds=(-3.0, -0.1))] * 2,
+        2.0**50,
+        r"rounds every secret to -1, the grid point nearest 0 inside the bounds "
+        r"\(-3, -0\.1\)$",
+    ),
 }
 
 
@@ -485,6 +515,12 @@ def test_accepted_rounds_over_in_bound_secrets_pass_range_validation(round_):
         return  # no round runs on a grid that cannot carry these secrets
     report = validate_aggregate(agg, len(secrets), secrets[0].bounds)
     assert report.ok, report.flagged
+
+
+def test_secrets_at_the_one_grid_point_pass():
+    secrets = [fv(1.0, 1.0, bounds=(0.1, 1.0))] * 2
+    agg, _ = run_round(secrets, RoundConfig(0, share_range=2.0**50))
+    assert agg.values.tolist() == [2.0, 2.0]
 
 
 def test_all_zero_secrets_pass_any_grid():

@@ -10,9 +10,7 @@ from fedtrend.corpus import VocabularyIndex
 from fedtrend.netsim import Message, MessageKind
 from fedtrend.secagg import (
     FeatureVector,
-    ObfuscatedVector,
     ShareSet,
-    SystemEntropySource,
     aggregate,
     combine_received,
     encode,
@@ -23,8 +21,6 @@ from fedtrend.secagg import (
     ordered_sum,
     seeded_rng,
     validate_aggregate,
-    vector_from_bytes,
-    vector_to_bytes,
 )
 
 RECONSTRUCTION_TOL = 1e-9
@@ -147,6 +143,38 @@ def test_make_shares_validates_arguments():
         make_shares(v, 2, 100.0, rng=seeded_rng(0), owner=2)
 
 
+#: Grids no round can use, with the text that ``run_round`` gives for them
+#: (tests/test_netsim.py ROUND_INPUT_FAULTS).
+UNSERVABLE_GRIDS = {
+    # a step above D: every peer share would be 0, the kept share the vector
+    "zero_width_shares": (
+        FeatureVector(values=np.array([0.5, 0.25])),
+        1e-20,
+        "share range D=1e-20 is too narrow for N=2 users: the grid step "
+        "2^-51 = 4.44089e-16 exceeds D, so every share would be 0",
+    ),
+    # step 2^-11 at D = 1e12: 0.3 * 2^11 = 614.4 and 0.3001 * 2^11 = 614.6
+    "no_grid_point_in_bounds": (
+        FeatureVector(values=np.array([0.3]), bounds=(0.3, 0.3001)),
+        1e12,
+        "share range D=1e+12 is too coarse for N=2 users: the grid step "
+        "2^-11 = 0.000488281 has no point inside the bounds (0.3, 0.3001)",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", list(UNSERVABLE_GRIDS))
+@pytest.mark.parametrize("call", ["make_shares", "encode"])
+def test_unservable_grids_are_refused_as_a_round_refuses_them(call, grid):
+    v, share_range, text = UNSERVABLE_GRIDS[grid]
+    with pytest.raises(ValueError) as refused:
+        if call == "make_shares":
+            make_shares(v, 2, share_range, rng=seeded_rng(0))
+        else:
+            encode(v, 2, share_range)
+    assert str(refused.value) == text
+
+
 def test_share_uniformity():
     # 10^4 off-diagonal shares: range respected, per-coordinate mean within
     # five standard errors of zero.
@@ -160,20 +188,6 @@ def test_share_uniformity():
     assert np.all(np.abs(samples.mean(axis=0)) <= 5 * stderr)
 
 
-def test_system_entropy_source_range():
-    source = SystemEntropySource()
-    draws = source.integers(-3, 4, (100, 3))  # D * 2**f rounded down is 3
-    assert draws.shape == (100, 3)
-    assert draws.dtype == np.int64
-    assert np.all(np.abs(draws) <= 3)
-    assert draws.min() == -3 and draws.max() == 3
-    assert np.all(source.integers(5, 6, 4) == 5)
-    v = FeatureVector(values=np.array([0.25, 0.75]), bounds=(0.0, 1.0))
-    share_set = make_shares(v, 4, 7.0, rng=source, owner=1)
-    assert np.all(np.abs(np.delete(share_set.shares, 1, axis=0)) <= 7.0)
-    assert np.array_equal(ordered_sum(share_set.shares), encode(v, 4, 7.0))
-
-
 # ---------------------------------------------------------------------------
 # combine_received / aggregate
 # ---------------------------------------------------------------------------
@@ -181,12 +195,13 @@ def test_system_entropy_source_range():
 
 def test_combine_with_no_peers():
     kept = np.array([1.0, 2.0])
-    assert np.array_equal(combine_received(kept, []).values, kept)
+    assert np.array_equal(combine_received(kept, []), kept)
 
 
 def test_combine_simple_sum():
     out = combine_received(np.array([1.0, 0.0]), [np.array([-1.0, 2.0])])
-    assert out.values.tolist() == [0.0, 2.0]
+    assert out.tolist() == [0.0, 2.0]
+    assert not out.flags.writeable
 
 
 def test_combine_length_mismatch():
@@ -195,7 +210,7 @@ def test_combine_length_mismatch():
 
 
 def test_aggregate_all_zero():
-    vectors = [ObfuscatedVector(owner=i, values=np.zeros(3)) for i in range(4)]
+    vectors = [np.zeros(3) for _ in range(4)]
     agg = aggregate(vectors, per_user_bounds=(0.0, 1.0))
     assert np.all(agg.values == 0.0)
     assert agg.bounds == (0.0, 4.0)
@@ -217,7 +232,7 @@ def test_aggregate_requires_vectors():
 
 def test_aggregate_order_independent():
     rng = seeded_rng(9)
-    vectors = [ObfuscatedVector(owner=i, values=rng.uniform(-5, 5, 6)) for i in range(5)]
+    vectors = [rng.uniform(-5, 5, 6) for _ in range(5)]
     forward = aggregate(vectors, per_user_bounds=(0.0, 1.0))
     backward = aggregate(vectors[::-1], per_user_bounds=(0.0, 1.0))
     assert np.array_equal(forward.values, backward.values)
@@ -229,8 +244,7 @@ def test_aggregate_sum_is_correctly_rounded():
     assert ordered_sum(values).tolist() == [0.0, 1.0]
     assert exact_sum(values).tolist() == [1.0, 1.0]
     assert not exact_sum(values).flags.writeable
-    vectors = [ObfuscatedVector(owner=i, values=v) for i, v in enumerate(values)]
-    for order in (vectors, vectors[::-1]):
+    for order in (values, values[::-1]):
         assert aggregate(order).values.tolist() == [1.0, 1.0]
 
 
@@ -308,17 +322,6 @@ def test_validation_never_raises_on_nan():
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
-# ---------------------------------------------------------------------------
-
-
-def test_vector_bytes_roundtrip():
-    values = np.array([0.1, -0.25, 1e-300, 7.0])
-    assert np.array_equal(vector_from_bytes(vector_to_bytes(values)), values)
-    assert len(vector_to_bytes(values)) == 32
-
-
-# ---------------------------------------------------------------------------
 # frozen: every class that keeps an array, and who may still write it
 # ---------------------------------------------------------------------------
 
@@ -328,8 +331,7 @@ VOCAB = VocabularyIndex(["a", "b"], [1.0, 3.0])
 KEEPERS = {
     "frozen": frozen,
     "FeatureVector": lambda a: FeatureVector(values=a).values,
-    "ShareSet": lambda a: ShareSet(owner=0, shares=a, share_range=1.0).shares,
-    "ObfuscatedVector": lambda a: ObfuscatedVector(owner=0, values=a).values,
+    "ShareSet": lambda a: ShareSet(owner=0, shares=a).shares,
     "Message": lambda a: Message(0, "0", "1", MessageKind.SHARE, a).payload,
     "PriorDistribution": lambda a: PriorDistribution(vocab=VOCAB, p=a).p,
     "PosteriorRanking": lambda a: PosteriorRanking.from_scores(VOCAB, a).scores,
