@@ -117,6 +117,15 @@ def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
     return vectors
 
 
+def _raw_error_line(aggregate, secrets, share_range: float) -> str:
+    """A round's max |aggregate - exact sum of the raw secrets|, and its grid step."""
+    raw = secagg.exact_sum([s.values for s in secrets])
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflowed sum stays inf
+        error = np.max(np.abs(aggregate.values - raw))
+    f = secagg.grid_bits(len(secrets), share_range, secrets[0].bounds)
+    return f"max |aggregate - raw sum| = {error:g} (grid step 2^{-f} = {2.0 ** -f:g})"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(_config_from(ExperimentConfig, args))
     paths = write_outputs(result, args.out)
@@ -133,6 +142,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     result = run_experiment(_config_from(ExperimentConfig, args))
     if result.posterior.order == result.oracle.order:
         print(f"oracle check passed: {len(result.vocab)} keywords, seed {args.seed}")
+        secrets = [lk.values for lk in result.likelihoods]
+        print(_raw_error_line(result.aggregate, secrets, result.config.share_range))
         return EXIT_OK
     print("oracle check FAILED: federated and centralized rankings differ", file=sys.stderr)
     return EXIT_MISMATCH
@@ -162,6 +173,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     (out / "aggregate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     netsim.write_transcript(transcript, out / "transcript.jsonl")
     print(f"aggregated {len(secrets)} vectors of dimension {len(aggregate)}")
+    print(_raw_error_line(aggregate, secrets, cfg.share_range))
     if not report.ok:
         print("range validation FAILED:", report.flagged, file=sys.stderr)
         return EXIT_RANGE

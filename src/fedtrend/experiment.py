@@ -208,14 +208,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     round_cfg = cfg.round_config()
     aggregates: list[np.ndarray] = []
-    messages: list[netsim.Message] = []
+    parts: list = []  # of the round transcripts, read only when written
     aggregate = validation = None
     for round_index in range(cfg.rounds):
         try:
             aggregate, transcript = netsim.run_round(secrets, round_cfg, round_index)
         except ValueError as exc:  # e.g. a share range too coarse for N
             raise ConfigError(str(exc)) from exc
-        messages.extend(transcript.messages)
+        parts.extend(transcript.parts)
         validation = secagg.validate_aggregate(
             aggregate, cfg.n_users, secrets[0].bounds
         )
@@ -240,11 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     final = posteriors[-1]
     merged = netsim.Transcript(
-        n_users=cfg.n_users,
-        dim=len(vocab),
-        share_range=cfg.share_range,
-        seed=cfg.seed,
-        messages=tuple(messages),
+        cfg.n_users, len(vocab), cfg.share_range, cfg.seed, None, tuple(parts)
     )
     config_dict = asdict(cfg)
     meta = {

@@ -1,24 +1,24 @@
 """Deterministic in-memory simulation of one secure-aggregation round.
 
-Nodes are small state machines exchanging messages over an in-process
-queue.  A round runs the protocol phases in order: every user splits her
-secret into shares and sends the off-diagonal ones to her peers; once a
-user holds all N-1 peer shares she sends her combined (obfuscated) vector
-to the aggregator; the aggregator sums the N obfuscated vectors and
-broadcasts the result.  The full delivery sequence is recorded in a
-transcript for privacy and conformance checks.  ``write_transcript`` saves
-it as JSON Lines, one message per line, with each payload written as the
-base64 text of its d little-endian doubles: exact for every double, at one
-C call per message.
+A round runs the protocol phases in order: every user splits her secret
+into shares and sends the off-diagonal ones to her peers; once a user holds
+all N-1 peer shares she sends her combined (obfuscated) vector to the
+aggregator; the aggregator sums the N obfuscated vectors and broadcasts the
+result.  Delivery order within each phase follows the configured schedule
+(``round_robin`` or ``seeded_shuffle``); the aggregate is invariant to it
+because every sum of the round is exact on ``secagg``'s grid.
 
-Delivery order within each phase follows the configured schedule
-(``round_robin`` or ``seeded_shuffle``); the aggregate itself is invariant
-to delivery order because every sum of the round is exact on ``secagg``'s
-grid, so nodes add what they receive in the order it arrives.
+``run_round``, the honest path, computes on arrays: user k's obfuscated
+vector is row k of the sum of the users' share blocks, and its transcript
+builds its messages on first read.  ``UserNode`` and ``AggregatorNode`` are
+state machines exchanging messages over an in-process queue:
+``inject_adversary`` runs them, rewriting one user's outgoing messages on
+the wire, and as honest nodes they deliver what ``run_round`` does.  Both
+paths share one input check.
 
-``run_round`` and ``inject_adversary`` check their inputs the same way and
-run the same honest nodes.  An adversary is a user whose outgoing messages
-are rewritten on the wire, between her node and their receivers.
+``write_transcript`` saves a transcript, every delivered message in order,
+as JSON Lines, with each payload written as the base64 text of its d
+little-endian doubles: exact for every double, at one C call per message.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -90,13 +90,32 @@ class Message:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Every delivered message of a run, plus the round parameters."""
+    """Every delivered message of a run, plus the round parameters.
+
+    ``parts`` are callables whose messages, in order, make up ``messages``;
+    given ``messages=None``, the tuple is built from them on first read.
+    """
 
     n_users: int
     dim: int
     share_range: float
     seed: int
-    messages: tuple[Message, ...]
+    messages: tuple[Message, ...] | None
+    parts: tuple = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        messages = self.messages
+        if messages is None:
+            object.__delattr__(self, "messages")  # so a read reaches __getattr__
+        else:
+            object.__setattr__(self, "parts", (lambda: messages,))
+
+    def __getattr__(self, name: str):
+        if name != "messages":
+            raise AttributeError(name)
+        messages = tuple(m for part in self.parts for m in part())
+        object.__setattr__(self, "messages", messages)
+        return messages
 
     def count(self, kind: MessageKind) -> int:
         return sum(1 for m in self.messages if m.kind is kind)
@@ -260,8 +279,8 @@ class AggregatorNode:
 # ---------------------------------------------------------------------------
 
 
-def _schedule(batches: list[list[Message]], delivery: str, rng) -> list[Message]:
-    """Order one phase's messages: cycle senders, or shuffle with the rng."""
+def _schedule(batches: list[list], delivery: str, rng) -> list:
+    """Order one phase's items: cycle senders, or shuffle with the rng."""
     if delivery == "seeded_shuffle":
         flat = [m for batch in batches for m in batch]
         return [flat[i] for i in rng.permutation(len(flat))]
@@ -305,14 +324,47 @@ def _execute_round(users, cfg, round_index, deliver_rng, send=lambda msg: msg):
         delivered.append(msg)
         users[int(msg.receiver)].receive_aggregate(msg)
 
-    transcript = Transcript(
-        n_users=n,
-        dim=len(secret),
-        share_range=cfg.share_range,
-        seed=cfg.seed,
-        messages=tuple(delivered),
-    )
-    return result, transcript
+    return result, Transcript(n, len(secret), cfg.share_range, cfg.seed, tuple(delivered))
+
+
+def _delivery_order(n: int, delivery: str, rng):
+    """``_schedule`` of an honest round's (sender, receiver) shares, then of
+    its users in the order of their Obfuscated vectors and broadcasts."""
+    peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
+    shares = _schedule(peers, delivery, rng)
+    # a user's obfuscated vector leaves when her last share arrives
+    arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
+    obfuscated = _schedule([[k] for k in arrived], delivery, rng)
+    return shares, obfuscated, _schedule([[k] for k in range(n)], delivery, rng)
+
+
+def _honest_round(users, cfg, round_index, deliver_rng):
+    """What ``_execute_round`` returns for honest ``users``, computed on
+    their share blocks without running the nodes."""
+    n, secret = len(users), users[0].secret
+    blocks = [
+        secagg.make_shares(u.secret, n, cfg.share_range, rng=u.rng, owner=u.index).shares
+        for u in users
+    ]
+    # row k is user k's obfuscated vector; a sum started from a copy of the
+    # first block, not from zeros, keeps a lone user's -0.0
+    obfuscated = blocks[0].copy()
+    for block in blocks[1:]:
+        obfuscated += block
+    obfuscated.setflags(write=False)
+    shares, arrived, broadcast = _delivery_order(n, cfg.delivery, deliver_rng)
+    result = secagg.aggregate([obfuscated[k] for k in arrived], secret.bounds)
+
+    def messages():  # every payload is a row of a block or of ``obfuscated``
+        r = round_index
+        for i, k in shares:
+            yield Message(r, str(i), str(k), MessageKind.SHARE, blocks[i][k])
+        for k in arrived:
+            yield Message(r, str(k), AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k])
+        for k in broadcast:
+            yield Message(r, AGGREGATOR_ID, str(k), MessageKind.AGGREGATE, result.values)
+
+    return result, Transcript(n, len(secret), cfg.share_range, cfg.seed, None, (messages,))
 
 
 def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
@@ -351,7 +403,7 @@ def run_round(
     """Run one honest aggregation round over the users' secret vectors;
     ``ValueError`` for inputs that no round can take."""
     users, deliver_rng = _round_users(secrets, cfg, round_index)
-    return _execute_round(users, cfg, round_index, deliver_rng)
+    return _honest_round(users, cfg, round_index, deliver_rng)
 
 
 # ---------------------------------------------------------------------------

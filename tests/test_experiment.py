@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -288,6 +289,62 @@ def test_cli_seed_is_mandatory(capsys):
 def test_cli_check_passes(capsys):
     assert cli.main(["check", "--seed", "1"]) == 0
     assert "oracle check passed" in capsys.readouterr().out
+
+
+def _raw_error(out: str) -> tuple[float, int]:
+    """The error and the grid bits f of the raw-sum line in ``out``."""
+    [line] = [line for line in out.splitlines() if line.startswith("max |aggregate")]
+    error, bits = re.fullmatch(
+        r"max \|aggregate - raw sum\| = (\S+) \(grid step 2\^(-?\d+) = \S+\)", line
+    ).groups()
+    return float(error), int(bits)
+
+
+def test_cli_check_reports_the_raw_sum_error_within_the_encoding_bound(capsys):
+    assert cli.main(["check", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "oracle check passed: 699 keywords, seed 0"
+    error, bits = _raw_error(out)
+    # N = 10, D = 100: step 2^-42, and each of the 10 encodings moves an
+    # entry by at most half a step
+    assert bits == -42
+    assert 0 < error <= 10 * 2.0**bits / 2
+
+
+def test_cli_aggregate_reports_a_coarse_grid_moving_the_sum(tmp_path, capsys):
+    # step 1 at D = 2^50 with points 1 and 2 inside the bounds: [0.1] and
+    # [0.6] encode to 1 each, so the aggregate reads 2 for a raw sum of 0.7
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(ONE_POINT_VECTOR_FILE, encoding="utf-8")
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--bounds", "0.1", "2",
+            "--share-range", "1125899906842624", "--out", str(tmp_path / "agg")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aggregated 2 vectors of dimension 1",
+        "max |aggregate - raw sum| = 1.3 (grid step 2^0 = 1)",
+    ]
+    assert (tmp_path / "agg" / "aggregate.csv").read_text() == "coordinate,value\n0,2\n"
+
+
+def _messages_built(monkeypatch, argv) -> int:
+    """How many ``netsim.Message``s ``cli.main(argv)`` constructs."""
+    built = []
+    post_init = netsim.Message.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(netsim.Message, "__post_init__", counting)
+    assert cli.main(argv) == 0
+    return len(built)
+
+
+def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
+    argv = ["--users", "20", "--rounds", "2", "--seed", "0"]
+    assert _messages_built(monkeypatch, ["check", *argv]) == 0
+    run = ["run", *argv, "--out", str(tmp_path / "out")]
+    assert _messages_built(monkeypatch, run) == 2 * (20 * 20 + 20)
 
 
 @pytest.mark.parametrize("users", ["10", "45", "150"])

@@ -30,6 +30,7 @@ from fedtrend.secagg import (
     FeatureVector,
     encode,
     exact_sum,
+    make_shares,
     ordered_sum,
     seeded_rng,
     validate_aggregate,
@@ -132,6 +133,76 @@ def test_honest_round_shares_payloads_by_reference():
     assert len(broadcast) == n
     assert all(payload is result.values for payload in broadcast)
     assert all(user.result.values is result.values for user in users)
+
+
+def _both_paths(secrets, cfg, round_index):
+    """``run_round``'s result and transcript, then those of the honest nodes
+    that ``_execute_round`` runs over the same inputs."""
+    from fedtrend.netsim import _execute_round, _round_users
+
+    engine = run_round(secrets, cfg, round_index)
+    users, deliver_rng = _round_users(secrets, cfg, round_index)
+    return engine, _execute_round(users, cfg, round_index, deliver_rng)
+
+
+@pytest.mark.parametrize("round_index", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 45])
+@pytest.mark.parametrize("delivery", ["round_robin", "seeded_shuffle"])
+def test_engine_delivers_what_the_nodes_deliver(delivery, n, round_index):
+    secrets = random_secrets(n, 7, seed=n)
+    cfg = RoundConfig(seed=5, delivery=delivery)
+    (agg, transcript), (node_agg, node_transcript) = _both_paths(secrets, cfg, round_index)
+    assert agg.values.tobytes() == node_agg.values.tobytes()
+    assert agg.bounds == node_agg.bounds
+    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(node_transcript)
+    assert len(transcript.messages) == n * n + n
+
+
+def test_engine_keeps_a_lone_users_signed_zero():
+    # -1e-300 encodes to -0.0; a sum started from zeros would give +0.0
+    secrets = [fv(-1e-300, 0.5, bounds=(-1.0, 1.0))]
+    (agg, transcript), (node_agg, node_transcript) = _both_paths(
+        secrets, RoundConfig(seed=0), 0
+    )
+    assert agg.values.tobytes() == node_agg.values.tobytes()
+    assert np.signbit(agg.values).tolist() == [True, False]
+    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(node_transcript)
+
+
+def test_engine_shares_payloads_by_reference():
+    from fedtrend.netsim import _round_users
+
+    n, cfg = 4, RoundConfig(seed=6)
+    secrets = random_secrets(n, 5, seed=6)
+    result, transcript = run_round(secrets, cfg)
+    users, _ = _round_users(secrets, cfg, 0)  # the same rngs, undrawn
+    blocks = [
+        make_shares(s, n, cfg.share_range, rng=user.rng, owner=i).shares
+        for i, (s, user) in enumerate(zip(secrets, users))
+    ]
+    shares = [m for m in transcript.messages if m.kind is MessageKind.SHARE]
+    assert len(shares) == n * (n - 1)
+    sender_blocks = {}
+    for msg in shares:
+        # a row view of the sender's frozen share block, not a copy
+        block = sender_blocks.setdefault(msg.sender, msg.payload.base)
+        assert msg.payload.base is block and not block.flags.writeable
+        assert np.shares_memory(msg.payload, block[int(msg.receiver)])
+        assert block.tobytes() == blocks[int(msg.sender)].tobytes()
+    assert len({id(block) for block in sender_blocks.values()}) == n
+    broadcast = [m.payload for m in transcript.messages if m.kind is MessageKind.AGGREGATE]
+    assert len(broadcast) == n
+    assert all(payload is result.values for payload in broadcast)
+
+
+def test_transcript_builds_its_messages_once_on_first_read():
+    _, transcript = run_round(random_secrets(3, 2, seed=1), RoundConfig(seed=1))
+    assert "messages" not in vars(transcript)
+    messages = transcript.messages
+    assert type(messages) is tuple and transcript.messages is messages
+    replaced = dataclasses.replace(transcript, messages=messages[:2])
+    assert replaced.messages == messages[:2]
+    assert [m for part in replaced.parts for m in part()] == list(messages[:2])
 
 
 # ---------------------------------------------------------------------------
