@@ -8,13 +8,13 @@ result.  Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate is invariant to it
 because every sum of the round is exact on ``secagg``'s grid.
 
-``run_round``, the honest path, computes on arrays: user k's obfuscated
-vector is row k of the sum of the users' share blocks, and its transcript
-builds its messages on first read.  ``UserNode`` and ``AggregatorNode`` are
-state machines exchanging messages over an in-process queue:
-``inject_adversary`` runs them, rewriting one user's outgoing messages on
-the wire, and as honest nodes they deliver what ``run_round`` does.  Both
-paths share one input check.
+``run_round``, the honest path, computes in O(N·d) memory: it adds each
+user's block of shares into the obfuscated vectors as integer grid steps,
+drops it, and draws it again from her seed when the transcript is read.
+``UserNode`` and ``AggregatorNode`` are state machines exchanging messages
+over an in-process queue: ``inject_adversary`` runs them, rewriting one
+user's outgoing messages on the wire, and as honest nodes they deliver
+what ``run_round`` does.  Both paths share one input check.
 
 ``write_transcript`` saves a transcript, every delivered message in order,
 as JSON Lines, with each payload written as the base64 text of its d
@@ -92,8 +92,9 @@ class Message:
 class Transcript:
     """Every delivered message of a run, plus the round parameters.
 
-    ``parts`` are callables whose messages, in order, make up ``messages``;
-    given ``messages=None``, the tuple is built from them on first read.
+    ``parts`` are callables that yield the same messages on every call; in
+    order they make up ``messages``, which ``messages=None`` builds on first
+    read and keeps.  ``write_transcript`` streams the parts instead.
     """
 
     n_users: int
@@ -327,46 +328,6 @@ def _execute_round(users, cfg, round_index, deliver_rng, send=lambda msg: msg):
     return result, Transcript(n, len(secret), cfg.share_range, cfg.seed, tuple(delivered))
 
 
-def _delivery_order(n: int, delivery: str, rng):
-    """``_schedule`` of an honest round's (sender, receiver) shares, then of
-    its users in the order of their Obfuscated vectors and broadcasts."""
-    peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
-    shares = _schedule(peers, delivery, rng)
-    # a user's obfuscated vector leaves when her last share arrives
-    arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
-    obfuscated = _schedule([[k] for k in arrived], delivery, rng)
-    return shares, obfuscated, _schedule([[k] for k in range(n)], delivery, rng)
-
-
-def _honest_round(users, cfg, round_index, deliver_rng):
-    """What ``_execute_round`` returns for honest ``users``, computed on
-    their share blocks without running the nodes."""
-    n, secret = len(users), users[0].secret
-    blocks = [
-        secagg.make_shares(u.secret, n, cfg.share_range, rng=u.rng, owner=u.index).shares
-        for u in users
-    ]
-    # row k is user k's obfuscated vector; a sum started from a copy of the
-    # first block, not from zeros, keeps a lone user's -0.0
-    obfuscated = blocks[0].copy()
-    for block in blocks[1:]:
-        obfuscated += block
-    obfuscated.setflags(write=False)
-    shares, arrived, broadcast = _delivery_order(n, cfg.delivery, deliver_rng)
-    result = secagg.aggregate([obfuscated[k] for k in arrived], secret.bounds)
-
-    def messages():  # every payload is a row of a block or of ``obfuscated``
-        r = round_index
-        for i, k in shares:
-            yield Message(r, str(i), str(k), MessageKind.SHARE, blocks[i][k])
-        for k in arrived:
-            yield Message(r, str(k), AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k])
-        for k in broadcast:
-            yield Message(r, AGGREGATOR_ID, str(k), MessageKind.AGGREGATE, result.values)
-
-    return result, Transcript(n, len(secret), cfg.share_range, cfg.seed, None, (messages,))
-
-
 def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
     """The users of a round over ``secrets``, and its delivery rng.
 
@@ -401,9 +362,42 @@ def run_round(
     secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
 ) -> tuple[FeatureVector, Transcript]:
     """Run one honest aggregation round over the users' secret vectors;
-    ``ValueError`` for inputs that no round can take."""
+    ``ValueError`` for inputs that no round can take.  What
+    ``_execute_round`` returns for honest users, in O(N·d) memory."""
     users, deliver_rng = _round_users(secrets, cfg, round_index)
-    return _honest_round(users, cfg, round_index, deliver_rng)
+    n, d, share_range = len(users), len(secrets[0]), cfg.share_range
+    f = secagg.grid_bits(n, share_range, secrets[0].bounds)
+    net = np.zeros((n, d), dtype=np.int64)  # row k: steps received - steps sent
+    for user in users:
+        steps = secagg.share_steps(user.rng, (n, d), share_range, f)
+        steps[user.index] = 0  # the residual stays with its owner
+        net += steps
+        net[user.index] -= steps.sum(axis=0)
+    obfuscated = np.stack([secagg.encode(s, n, share_range) for s in secrets])
+    if n > 1:  # adding +0.0 would turn a lone user's encoded -0.0 into +0.0
+        obfuscated += np.ldexp(net, -f)  # exact: every sum is below 2**53 steps
+    obfuscated.setflags(write=False)
+    result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
+    seeds = [rng.bit_generator.seed_seq for rng in [u.rng for u in users] + [deliver_rng]]
+
+    def messages():  # the blocks drawn again from the seeds; residuals stay unsent
+        *rngs, deliver = [np.random.default_rng(seed) for seed in seeds]
+        blocks = [np.ldexp(secagg.share_steps(rng, (n, d), share_range, f), -f)
+                  for rng in rngs]
+        for block in blocks:
+            block.setflags(write=False)
+        peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
+        shares, r = _schedule(peers, cfg.delivery, deliver), round_index
+        for i, k in shares:
+            yield Message(r, str(i), str(k), MessageKind.SHARE, blocks[i][k])
+        # a user's obfuscated vector leaves when her last share arrives
+        arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
+        for k in _schedule([[k] for k in arrived], cfg.delivery, deliver):
+            yield Message(r, str(k), AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k])
+        for k in _schedule([[k] for k in range(n)], cfg.delivery, deliver):
+            yield Message(r, AGGREGATOR_ID, str(k), MessageKind.AGGREGATE, result.values)
+
+    return result, Transcript(n, d, share_range, cfg.seed, None, (messages,))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +554,7 @@ def _jsonl_lines(transcript: Transcript) -> Iterator[str]:
             "seed": transcript.seed,
         }
     ) + "\n"
-    for msg in transcript.messages:
+    for msg in (m for part in transcript.parts for m in part()):
         yield '{"round": %d, "from": %s, "to": %s, "kind": %s, "payload": "%s"}\n' % (
             msg.round,
             json.dumps(msg.sender),

@@ -11,8 +11,9 @@ k * 2**-f.  ``grid_bits`` derives f from N, D and the per-user bounds (a, b)
 as the largest f with N * (2D + max(|a|, |b|)) * 2**f < 2**53, which bounds
 the encoded vector, the kept residual, the obfuscated vector and the
 aggregate.  It refuses the grids that cannot serve a round: a step above
-D, where every share would be 0 and each vector would travel unmasked, and
-a grid with no point inside (a, b); ``check_grid`` also refuses the grids
+D, where every share would be 0 and each vector would travel unmasked, a
+step below 2**-1074, where not every grid point is a double, and a grid
+with no point inside (a, b); ``check_grid`` also refuses the grids
 that would lose what a round's secrets carry.  ``encode`` rounds a vector
 onto the grid points inside (a, b) once (an error of at most 2**-(f+1) per
 entry, or below 2**-f next to a bound off the grid); shares are uniform
@@ -55,6 +56,7 @@ __all__ = [
     "make_shares",
     "ordered_sum",
     "seeded_rng",
+    "share_steps",
     "validate_aggregate",
 ]
 
@@ -134,7 +136,8 @@ def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> 
     ``n_users * (2 * share_range + max(|a|, |b|)) * 2**f < 2**53``.
 
     ``ValueError`` if a bound is not finite, the step exceeds
-    ``share_range`` or no grid point lies inside ``bounds``.
+    ``share_range`` or is below 2**-1074, or no grid point lies inside
+    ``bounds``.
     """
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -145,6 +148,8 @@ def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> 
     f = 52 - exponent - math.frexp(n_users * mantissa)[1]
     if math.ldexp(share_range, f) < 1:
         fault = "narrow", "exceeds D, so every share would be 0"
+    elif f > 1074:  # a grid point k * 2**-f need not be a double
+        fault = "small", "is below the smallest double, 2^-1074"
     elif math.ceil(math.ldexp(a, f)) > math.floor(math.ldexp(b, f)):
         fault = "coarse", f"has no point inside the bounds ({a:g}, {b:g})"
     else:
@@ -222,6 +227,13 @@ def ordered_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
     return total
 
 
+def share_steps(rng: np.random.Generator, shape, share_range: float, f: int) -> np.ndarray:
+    """Uniform shares on the grid 2**-f in [-share_range, share_range], as
+    int64 counts of grid steps: the one draw behind every share block."""
+    width = math.floor(math.ldexp(share_range, f))
+    return rng.integers(-width, width + 1, size=shape)
+
+
 def make_shares(
     v: FeatureVector,
     n_users: int,
@@ -246,9 +258,8 @@ def make_shares(
     if rng is None:
         rng = seeded_rng(0)
     f = grid_bits(n_users, share_range, v.bounds)
-    width = math.floor(math.ldexp(share_range, f))
     # a grid point in every row; the owner's row then becomes the residual
-    shares = np.ldexp(rng.integers(-width, width + 1, size=(n_users, len(v))), -f)
+    shares = np.ldexp(share_steps(rng, (n_users, len(v)), share_range, f), -f)
     shares[owner] = encode(v, n_users, share_range) - (shares.sum(axis=0) - shares[owner])
     shares.setflags(write=False)
     return ShareSet(owner=owner, shares=shares)

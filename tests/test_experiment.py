@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -347,6 +348,24 @@ def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
     assert _messages_built(monkeypatch, run) == 2 * (20 * 20 + 20)
 
 
+def _kept_bytes(n_users: int, rounds: int) -> tuple[int, int]:
+    """Traced bytes still held while a run's result lives, and its d."""
+    tracemalloc.start()
+    try:
+        result = run_experiment(make_experiment_config(n_users=n_users, rounds=rounds))
+        return tracemalloc.get_traced_memory()[0], len(result.vocab)
+    finally:
+        tracemalloc.stop()
+
+
+def test_experiment_keeps_no_share_blocks_across_rounds():
+    n = 30
+    run_experiment(make_experiment_config(n_users=n))  # warm the loaders' caches
+    (one, d), (four, _) = _kept_bytes(n, 1), _kept_bytes(n, 4)
+    # a round keeps its N·d obfuscated vectors, not its N blocks of N·d shares
+    assert four - one < 3 * 1.5 * n * d * 8
+
+
 @pytest.mark.parametrize("users", ["10", "45", "150"])
 @pytest.mark.parametrize("share_range", ["1e2", "1e4", "1e6"])
 def test_cli_check_passes_across_share_ranges(capsys, users, share_range):
@@ -669,10 +688,18 @@ SMALL_VECTOR_FILE = '{"values": [0.1]}\n{"values": [0.1]}\n'
             "nearest 0 inside the bounds (0.1, 3)",
             SMALL_VECTOR_FILE,
         ),
+        # step 2^-1080: grid points below the smallest double are not doubles
+        (
+            ["--bounds", "0", "1e-310", "--share-range", "1e-310"],
+            "share range D=1e-310 is too small for N=2 users: the grid step "
+            "2^-1080 = 0 is below the smallest double, 2^-1074",
+            '{"values": [3e-311]}\n{"values": [1e-311]}\n',
+        ),
     ],
     ids=[
         "D_nan", "D_negative", "D_inf", "seed_negative", "bound_inf", "D_too_coarse",
         "D_too_narrow", "bounds_too_wide", "one_grid_point", "secrets_off_zero",
+        "step_below_smallest_double",
     ],
 )
 def test_cli_aggregate_fault_table(tmp_path, capsys, extra, cause, text):

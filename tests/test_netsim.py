@@ -2,10 +2,11 @@ import binascii
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -184,12 +185,17 @@ def test_engine_shares_payloads_by_reference():
     assert len(shares) == n * (n - 1)
     sender_blocks = {}
     for msg in shares:
+        sender, receiver = int(msg.sender), int(msg.receiver)
         # a row view of the sender's frozen share block, not a copy
         block = sender_blocks.setdefault(msg.sender, msg.payload.base)
         assert msg.payload.base is block and not block.flags.writeable
-        assert np.shares_memory(msg.payload, block[int(msg.receiver)])
-        assert block.tobytes() == blocks[int(msg.sender)].tobytes()
+        assert np.shares_memory(msg.payload, block[receiver])
+        # the row that make_shares draws from the same rng, bit for bit
+        assert msg.payload.tobytes() == blocks[sender][receiver].tobytes()
     assert len({id(block) for block in sender_blocks.values()}) == n
+    # the residual each owner keeps travels in no message
+    residuals = {blocks[i][i].tobytes() for i in range(n)}
+    assert not any(m.payload.tobytes() in residuals for m in transcript.messages)
     broadcast = [m.payload for m in transcript.messages if m.kind is MessageKind.AGGREGATE]
     assert len(broadcast) == n
     assert all(payload is result.values for payload in broadcast)
@@ -203,6 +209,55 @@ def test_transcript_builds_its_messages_once_on_first_read():
     replaced = dataclasses.replace(transcript, messages=messages[:2])
     assert replaced.messages == messages[:2]
     assert [m for part in replaced.parts for m in part()] == list(messages[:2])
+
+
+@st.composite
+def conformance_rounds(draw):
+    """Up to 8 users' secrets in bounds around 0, where entries such as
+    -0.0 and -1e-300 encode to -0.0, and a share range from 1e-3 to 1e12."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    a, b = draw(st.floats(-4.0, 0.0)), draw(st.floats(0.0, 4.0))
+    entry = st.floats(a, b) | st.sampled_from([-0.0, -1e-300, 0.0, a, b])
+    secrets = [
+        fv(*draw(st.lists(entry, min_size=d, max_size=d)), bounds=(a, b)) for _ in range(n)
+    ]
+    return secrets, 10.0 ** draw(st.floats(-3.0, 12.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conformance_rounds(), st.sampled_from(["round_robin", "seeded_shuffle"]),
+       st.integers(0, 1), st.integers(0, 2**32))
+def test_engine_conforms_to_the_nodes_on_every_accepted_grid(round_, delivery, round_index, seed):
+    secrets, share_range = round_
+    cfg = RoundConfig(seed=seed, share_range=share_range, delivery=delivery)
+    try:
+        (agg, transcript), (node_agg, node_transcript) = _both_paths(
+            secrets, cfg, round_index
+        )
+    except ValueError:
+        assume(False)  # check_grid refuses this grid for these secrets
+    assert agg.values.tobytes() == node_agg.values.tobytes()
+    assert agg.bounds == node_agg.bounds
+    jsonl = transcript_to_jsonl(transcript)
+    assert jsonl == transcript_to_jsonl(node_transcript)
+    # each read draws the shares and the delivery order again from the seeds
+    assert transcript_to_jsonl(transcript) == jsonl
+    copies = [dataclasses.replace(transcript) for _ in range(2)]
+    assert [transcript_to_jsonl(c) for c in copies] == [jsonl, jsonl]
+
+
+def test_run_round_peak_memory_is_linear_in_users():
+    n, d = 80, 64
+    secrets = random_secrets(n, d, seed=8)
+    run_round(secrets, RoundConfig(seed=8))  # warm numpy's and the rngs' caches
+    tracemalloc.start()
+    try:
+        run_round(secrets, RoundConfig(seed=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one user's block of shares is N·d; all N blocks at once would be 80x that
+    assert peak < 10 * n * d * 8
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +559,14 @@ ROUND_INPUT_FAULTS = {
         1e-20,
         r"^share range D=1e-20 is too narrow for N=2 users: the grid step "
         r"2\^-51 = 4\.44089e-16 exceeds D, so every share would be 0$",
+    ),
+    # D = 1e-310 inside bounds (0, 1e-310) puts the step at 2^-1080, below
+    # the smallest double, so not every grid point is a double
+    "subnormal_grid": (
+        [fv(3e-311, bounds=(0.0, 1e-310)), fv(1e-311, bounds=(0.0, 1e-310))],
+        1e-310,
+        r"^share range D=1e-310 is too small for N=2 users: the grid step "
+        r"2\^-1080 = 0 is below the smallest double, 2\^-1074$",
     ),
     "zero_width_shares_wide_bounds": (
         [fv(1e20, 0.4, bounds=(0.0, 1e20)), fv(0.3, 3e5, bounds=(0.0, 1e20))],
