@@ -7,7 +7,7 @@ Subcommands:
   check      assert the federated ranking equals the centralized oracle
 
 Exit codes: 0 success, 1 check mismatch, 2 configuration error,
-3 protocol violation, 4 range-validation failure.
+4 range-validation failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .experiment import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
-EXIT_PROTOCOL = 3
 EXIT_RANGE = 4
 
 
@@ -243,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, corpus.CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except netsim.ProtocolViolation as exc:
-        print(f"protocol violation: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

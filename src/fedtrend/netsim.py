@@ -8,13 +8,11 @@ result.  Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate is invariant to it
 because every sum of the round is exact on ``secagg``'s grid.
 
-``run_round``, the honest path, computes in O(N·d) memory: it adds each
-user's block of shares into the obfuscated vectors as integer grid steps,
-drops it, and draws it again from her seed when the transcript is read.
-``UserNode`` and ``AggregatorNode`` are state machines exchanging messages
-over an in-process queue: ``inject_adversary`` runs them, rewriting one
-user's outgoing messages on the wire, and as honest nodes they deliver
-what ``run_round`` does.  Both paths share one input check.
+``run_round`` runs a round in O(N·d) memory: it adds each user's block of
+shares into the obfuscated vectors as integer grid steps, drops it, and
+draws it again from her seed when the transcript is read.
+``inject_adversary`` runs that round and rewrites, on the wire, the
+messages that one misbehaving user changes.
 
 ``write_transcript`` saves a transcript, every delivered message in order,
 as JSON Lines, with each payload written as the base64 text of its d
@@ -40,14 +38,11 @@ __all__ = [
     "AGGREGATOR_ID",
     "DELIVERIES",
     "AdversaryBehavior",
-    "AggregatorNode",
     "Message",
     "MessageKind",
     "PrivacyReport",
-    "ProtocolViolation",
     "RoundConfig",
     "Transcript",
-    "UserNode",
     "inject_adversary",
     "load_transcript",
     "run_round",
@@ -59,10 +54,6 @@ __all__ = [
 AGGREGATOR_ID = "aggregator"
 #: Delivery schedules of a round's phases, the default first.
 DELIVERIES = ("round_robin", "seeded_shuffle")
-
-
-class ProtocolViolation(RuntimeError):
-    """A node acted out of phase; the message names the offending node."""
 
 
 class MessageKind(Enum):
@@ -137,144 +128,6 @@ class RoundConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-class _Phase(Enum):
-    INIT = "Init"
-    SHARES_SENT = "SharesSent"
-    OBFUSCATED = "Obfuscated"
-    DONE = "Done"
-
-
-def _user_index(sender: str, n_users: int) -> int | None:
-    """The index of the user of the round that ``sender`` names, else None."""
-    index = int(sender) if str(sender).isdecimal() else -1
-    return index if 0 <= index < n_users else None
-
-
-def _check_shape(node: str, what: str, msg: Message, shape: tuple) -> None:
-    if msg.payload.shape != shape:
-        raise ProtocolViolation(
-            f"{node}: {what} from {msg.sender} has shape {msg.payload.shape}, not {shape}"
-        )
-
-
-class UserNode:
-    """Protocol state machine for one user.
-
-    Transitions Init -> SharesSent -> Obfuscated -> Done only; the
-    obfuscated vector is emitted after exactly N-1 peer shares arrived.
-    """
-
-    def __init__(self, index, secret, n_users, share_range, rng):
-        self.index = int(index)
-        self.id = str(index)
-        self.secret: FeatureVector = secret
-        self.n_users = n_users
-        self.share_range = share_range
-        self.rng = rng
-        self.phase = _Phase.INIT
-        self.kept: np.ndarray | None = None
-        self.received: dict[int, np.ndarray] = {}
-        self.result: FeatureVector | None = None
-
-    def start(self, round_no: int) -> tuple[list[Message], Message | None]:
-        """Create shares; returns the peer messages and, when the user has
-        no peers to wait for (N=1), her obfuscated message right away."""
-        if self.phase is not _Phase.INIT:
-            raise ProtocolViolation(f"user {self.id}: start() called twice")
-        share_set = secagg.make_shares(
-            self.secret, self.n_users, self.share_range, rng=self.rng, owner=self.index
-        )
-        self.kept = share_set.diagonal
-        outgoing = [
-            Message(round_no, self.id, str(k), MessageKind.SHARE, share_set.share_for(k))
-            for k in range(self.n_users)
-            if k != self.index
-        ]
-        self.phase = _Phase.SHARES_SENT
-        return outgoing, self._maybe_obfuscate(round_no)
-
-    def receive_share(self, msg: Message) -> Message | None:
-        if self.phase is not _Phase.SHARES_SENT:
-            raise ProtocolViolation(
-                f"user {self.id}: share received in phase {self.phase.value}"
-            )
-        sender = _user_index(msg.sender, self.n_users)
-        if sender is None or sender == self.index or sender in self.received:
-            raise ProtocolViolation(
-                f"user {self.id}: unexpected or duplicate share from {msg.sender}"
-            )
-        _check_shape(f"user {self.id}", "share", msg, self.kept.shape)
-        self.received[sender] = msg.payload
-        return self._maybe_obfuscate(msg.round)
-
-    def _maybe_obfuscate(self, round_no: int) -> Message | None:
-        if len(self.received) != self.n_users - 1:
-            return None
-        total = secagg.combine_received(self.kept, list(self.received.values()))
-        # a non-finite entry in any share makes the sum non-finite, so one
-        # check of the sum covers every share before anything is sent
-        if not np.isfinite(total).all():
-            for sender, share in self.received.items():
-                if not np.isfinite(share).all():
-                    raise ProtocolViolation(
-                        f"user {self.id}: share from {sender} has a non-finite entry"
-                    )
-        self.phase = _Phase.OBFUSCATED
-        return Message(round_no, self.id, AGGREGATOR_ID, MessageKind.OBFUSCATED, total)
-
-    def receive_aggregate(self, msg: Message) -> None:
-        if self.phase is not _Phase.OBFUSCATED:
-            raise ProtocolViolation(
-                f"user {self.id}: aggregate received in phase {self.phase.value}"
-            )
-        a, b = self.secret.bounds
-        self.result = FeatureVector(msg.payload, (self.n_users * a, self.n_users * b))
-        self.phase = _Phase.DONE
-
-
-class AggregatorNode:
-    """Collects the N obfuscated vectors and sums them; never sees shares."""
-
-    def __init__(self, n_users: int, per_user_bounds: tuple[float, float]):
-        self.n_users = n_users
-        self.per_user_bounds = per_user_bounds
-        self.buffer: dict[int, np.ndarray] = {}
-        self.result: FeatureVector | None = None
-
-    def receive(self, msg: Message) -> None:
-        if msg.kind is not MessageKind.OBFUSCATED:
-            raise ProtocolViolation(
-                f"aggregator: received {msg.kind.value} message from {msg.sender}"
-            )
-        owner = _user_index(msg.sender, self.n_users)
-        if owner is None or owner in self.buffer:
-            raise ProtocolViolation(
-                f"aggregator: unexpected or duplicate vector from {msg.sender}"
-            )
-        first = next(iter(self.buffer.values()), msg.payload)
-        _check_shape("aggregator", "vector", msg, first.shape)
-        if not np.isfinite(msg.payload).all():
-            raise ProtocolViolation(
-                f"aggregator: vector from {msg.sender} has a non-finite entry"
-            )
-        self.buffer[owner] = msg.payload
-        if len(self.buffer) == self.n_users:
-            self.result = secagg.aggregate(
-                list(self.buffer.values()), per_user_bounds=self.per_user_bounds
-            )
-
-    def finish(self) -> FeatureVector:
-        """The aggregate; raises, naming the users whose vectors never came,
-        when the round ends early."""
-        if self.result is None:
-            missing = [i for i in range(self.n_users) if i not in self.buffer]
-            raise ProtocolViolation(
-                "aggregator: round ended without all obfuscated vectors; "
-                f"missing users {', '.join(map(str, missing))}"
-            )
-        return self.result
-
-
 # ---------------------------------------------------------------------------
 # Round execution
 # ---------------------------------------------------------------------------
@@ -289,47 +142,9 @@ def _schedule(batches: list[list], delivery: str, rng) -> list:
     return [b[i] for i in range(width) for b in batches if i < len(b)]
 
 
-def _execute_round(users, cfg, round_index, deliver_rng, send=lambda msg: msg):
-    """Deliver one round among ``users``; ``send`` maps each message a user
-    emits to the message the wire carries."""
-    n = len(users)
-    secret = users[0].secret
-    aggregator = AggregatorNode(n, per_user_bounds=secret.bounds)
-    delivered: list[Message] = []
-
-    share_batches: list[list[Message]] = []
-    obfuscated: list[Message] = []
-    for user in users:
-        outgoing, obf = user.start(round_index)
-        share_batches.append([send(m) for m in outgoing])
-        if obf is not None:
-            obfuscated.append(send(obf))
-
-    for msg in _schedule(share_batches, cfg.delivery, deliver_rng):
-        delivered.append(msg)
-        reply = users[int(msg.receiver)].receive_share(msg)
-        if reply is not None:
-            obfuscated.append(send(reply))
-
-    for msg in _schedule([[m] for m in obfuscated], cfg.delivery, deliver_rng):
-        delivered.append(msg)
-        aggregator.receive(msg)
-
-    result = aggregator.finish()
-
-    broadcasts = [
-        [Message(round_index, AGGREGATOR_ID, u.id, MessageKind.AGGREGATE, result.values)]
-        for u in users
-    ]
-    for msg in _schedule(broadcasts, cfg.delivery, deliver_rng):
-        delivered.append(msg)
-        users[int(msg.receiver)].receive_aggregate(msg)
-
-    return result, Transcript(n, len(secret), cfg.share_range, cfg.seed, tuple(delivered))
-
-
-def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
-    """The users of a round over ``secrets``, and its delivery rng.
+def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
+    """The ``SeedSequence``s of a round's N users over ``secrets``, and the
+    one of its delivery order.
 
     The one check of a round's inputs: ``ValueError`` unless there is at
     least one user, the secrets share one dimension d >= 1 and one pair of
@@ -352,36 +167,32 @@ def _round_users(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
             raise ValueError(f"secret of user {i} violates its declared bounds")
         low, high = min(low, s_low), max(high, s_high)
     secagg.check_grid(n, cfg.share_range, (a, b), (low, high))
-    seeds = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    users = [UserNode(i, secrets[i], n, cfg.share_range, rngs[i]) for i in range(n)]
-    return users, rngs[n]
+    *users, deliver = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
+    return users, deliver
 
 
 def run_round(
     secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
 ) -> tuple[FeatureVector, Transcript]:
-    """Run one honest aggregation round over the users' secret vectors;
-    ``ValueError`` for inputs that no round can take.  What
-    ``_execute_round`` returns for honest users, in O(N·d) memory."""
-    users, deliver_rng = _round_users(secrets, cfg, round_index)
-    n, d, share_range = len(users), len(secrets[0]), cfg.share_range
+    """Run one honest aggregation round over the users' secret vectors, in
+    O(N·d) memory; ``ValueError`` for inputs that no round can take."""
+    seeds, deliver_seed = _round_seeds(secrets, cfg, round_index)
+    n, d, share_range = len(seeds), len(secrets[0]), cfg.share_range
     f = secagg.grid_bits(n, share_range, secrets[0].bounds)
     net = np.zeros((n, d), dtype=np.int64)  # row k: steps received - steps sent
-    for user in users:
-        steps = secagg.share_steps(user.rng, (n, d), share_range, f)
-        steps[user.index] = 0  # the residual stays with its owner
+    for i, seed in enumerate(seeds):
+        steps = secagg.share_steps(np.random.default_rng(seed), (n, d), share_range, f)
+        steps[i] = 0  # the residual stays with its owner
         net += steps
-        net[user.index] -= steps.sum(axis=0)
+        net[i] -= steps.sum(axis=0)
     obfuscated = np.stack([secagg.encode(s, n, share_range) for s in secrets])
     if n > 1:  # adding +0.0 would turn a lone user's encoded -0.0 into +0.0
         obfuscated += np.ldexp(net, -f)  # exact: every sum is below 2**53 steps
     obfuscated.setflags(write=False)
     result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
-    seeds = [rng.bit_generator.seed_seq for rng in [u.rng for u in users] + [deliver_rng]]
 
     def messages():  # the blocks drawn again from the seeds; residuals stay unsent
-        *rngs, deliver = [np.random.default_rng(seed) for seed in seeds]
+        *rngs, deliver = [np.random.default_rng(seed) for seed in (*seeds, deliver_seed)]
         blocks = [np.ldexp(secagg.share_steps(rng, (n, d), share_range, f), -f)
                   for rng in rngs]
         for block in blocks:
@@ -415,15 +226,16 @@ def inject_adversary(
 ) -> tuple[FeatureVector, Transcript, RangeReport]:
     """Run a round where one designated user misbehaves.
 
-    Every user runs the honest protocol on inputs that ``run_round``
-    accepts; only the adversary's outgoing messages are rewritten on the
-    wire.  ``inflate_coordinate`` adds ``amount`` (default: enough to
-    escape the admissible range) to one coordinate of her Obfuscated
-    payload.  ``out_of_range_share`` puts 2D into that coordinate of her
-    first peer share and takes the excess off her Obfuscated payload, so
-    the aggregate is unchanged and only the transcript range check trips.
-    Returns the aggregate, transcript, and the aggregator's
-    range-validation report.
+    The round is ``run_round``'s honest one over the same inputs, with the
+    messages that the misbehaviour changes rewritten on the wire: each
+    gains a value at ``coordinate``.  ``inflate_coordinate`` adds
+    ``amount`` (default: enough to escape the admissible range) to the
+    adversary's Obfuscated payload.  ``out_of_range_share`` raises her
+    share for one peer to 2D; the peer's Obfuscated payload carries the
+    excess and hers gives it up, so the aggregate is unchanged and only the
+    transcript range check trips.  The aggregator sums the Obfuscated
+    payloads as the wire carries them.  Returns the aggregate, transcript,
+    and the aggregator's range-validation report.
     """
     behavior = AdversaryBehavior(behavior)
     n = len(secrets)
@@ -431,26 +243,37 @@ def inject_adversary(
         raise ValueError("adversary injection needs at least two users")
     if not 0 <= adversary < n:
         raise ValueError("adversary index out of range")
-    users, deliver_rng = _round_users(secrets, cfg, 0)
+    _, honest = run_round(secrets, cfg)
+    if not 0 <= coordinate < honest.dim:
+        raise ValueError("coordinate index out of range")
     a, b = secrets[0].bounds
     sender, peer = str(adversary), str(int(adversary == 0))
-    added: dict[str, float] = {}  # receiver -> what the coordinate gains
     if behavior is AdversaryBehavior.INFLATE_COORDINATE:
-        added[AGGREGATOR_ID] = n * (b - a) + 1.0 if amount is None else amount
+        gains = {(sender, AGGREGATOR_ID): n * (b - a) + 1.0 if amount is None else amount}
+    else:
+        share = next(m for m in honest.messages if (m.sender, m.receiver) == (sender, peer))
+        excess = 2.0 * cfg.share_range - share.payload[coordinate]
+        gains = {(sender, peer): excess, (peer, AGGREGATOR_ID): excess,
+                 (sender, AGGREGATOR_ID): -excess}
 
-    def send(msg: Message) -> Message:
-        if msg.sender != sender:
-            return msg
-        if behavior is AdversaryBehavior.OUT_OF_RANGE_SHARE and msg.receiver == peer:
-            excess = 2.0 * cfg.share_range - msg.payload[coordinate]
-            added.update({peer: excess, AGGREGATOR_ID: -excess})
-        if msg.receiver not in added:
+    def rewrite(msg: Message) -> Message:
+        gain = gains.get((msg.sender, msg.receiver))
+        if gain is None:
             return msg
         values = msg.payload.copy()
-        values[coordinate] += added[msg.receiver]
+        values[coordinate] += gain
         return replace(msg, payload=values)
 
-    result, transcript = _execute_round(users, cfg, 0, deliver_rng, send)
+    sent = [rewrite(m) for m in honest.messages if m.kind is not MessageKind.AGGREGATE]
+    result = secagg.aggregate(
+        [m.payload for m in sent if m.kind is MessageKind.OBFUSCATED], (a, b)
+    )
+    broadcasts = [
+        replace(m, payload=result.values)
+        for m in honest.messages
+        if m.kind is MessageKind.AGGREGATE
+    ]
+    transcript = replace(honest, messages=tuple(sent + broadcasts))
     return result, transcript, secagg.validate_aggregate(result, n, (a, b))
 
 

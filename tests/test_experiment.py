@@ -480,15 +480,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
-def test_cli_protocol_violation_exit_code(monkeypatch, tmp_path):
-    def boom(*args, **kwargs):
-        raise netsim.ProtocolViolation("user 3: out of phase")
-
-    monkeypatch.setattr("fedtrend.experiment.netsim.run_round", boom)
-    rc = cli.main(["run", "--seed", "0", "--out", str(tmp_path / "out")])
-    assert rc == 3
-
-
 def test_cli_aggregate_roundtrip(tmp_path):
     vectors = tmp_path / "vectors.jsonl"
     with open(vectors, "w", encoding="utf-8") as handle:

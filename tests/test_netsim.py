@@ -12,14 +12,14 @@ from hypothesis.extra.numpy import arrays
 
 from fedtrend.netsim import (
     AGGREGATOR_ID,
+    DELIVERIES,
     AdversaryBehavior,
-    AggregatorNode,
     Message,
     MessageKind,
-    ProtocolViolation,
     RoundConfig,
     Transcript,
-    UserNode,
+    _round_seeds,
+    _schedule,
     inject_adversary,
     load_transcript,
     run_round,
@@ -29,6 +29,8 @@ from fedtrend.netsim import (
 )
 from fedtrend.secagg import (
     FeatureVector,
+    aggregate,
+    combine_received,
     encode,
     exact_sum,
     make_shares,
@@ -107,79 +109,79 @@ def test_conservation_across_seeds():
         assert np.max(np.abs(agg.values - direct)) <= 1e-9
 
 
-def test_no_phantom_knowledge():
-    from fedtrend.netsim import _execute_round, _round_users
-
-    cfg = RoundConfig(seed=4)
-    users, deliver_rng = _round_users(random_secrets(6, 5, seed=4), cfg, 0)
-    _execute_round(users, cfg, 0, deliver_rng)
-    for i, user in enumerate(users):
-        assert sorted(user.received) == [k for k in range(6) if k != i]
-        assert user.result is not None
-
-
-def test_honest_round_shares_payloads_by_reference():
-    from fedtrend.netsim import _execute_round, _round_users
-
-    n = 4
-    cfg = RoundConfig(seed=6)
-    users, deliver_rng = _round_users(random_secrets(n, 5, seed=6), cfg, 0)
-    result, transcript = _execute_round(users, cfg, 0, deliver_rng)
-    shares = [m for m in transcript.messages if m.kind is MessageKind.SHARE]
-    assert len(shares) == n * (n - 1)
+def _reference_round(secrets, cfg, round_index):
+    """The round that ``run_round`` runs, built from ``secagg``'s primitives
+    over the same seeds: each user's block from ``make_shares``, the shares
+    in ``_schedule`` order, and each user's obfuscated vector from
+    ``combine_received`` once her last share has arrived."""
+    seeds, deliver_seed = _round_seeds(secrets, cfg, round_index)
+    n, r, deliver = len(secrets), round_index, np.random.default_rng(deliver_seed)
+    blocks = [
+        make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
+        for i, (s, seed) in enumerate(zip(secrets, seeds))
+    ]
+    peers = [
+        [Message(r, str(i), str(k), MessageKind.SHARE, blocks[i][k]) for k in range(n) if k != i]
+        for i in range(n)
+    ]
+    shares = _schedule(peers, cfg.delivery, deliver)
+    received, ready = [[] for _ in range(n)], [0] if n == 1 else []
     for msg in shares:
-        # a row view of the sender's frozen share set, not a copy
-        assert msg.payload.base is users[int(msg.sender)].kept.base
-    broadcast = [m.payload for m in transcript.messages if m.kind is MessageKind.AGGREGATE]
-    assert len(broadcast) == n
-    assert all(payload is result.values for payload in broadcast)
-    assert all(user.result.values is result.values for user in users)
+        k = int(msg.receiver)
+        received[k].append(msg.payload)
+        if len(received[k]) == n - 1:
+            ready.append(k)
+    obfuscated = _schedule([
+        [Message(r, str(k), AGGREGATOR_ID, MessageKind.OBFUSCATED,
+                 combine_received(blocks[k][k], received[k], owner=k))]
+        for k in ready
+    ], cfg.delivery, deliver)
+    result = aggregate([m.payload for m in obfuscated], secrets[0].bounds)
+    broadcasts = _schedule([
+        [Message(r, AGGREGATOR_ID, str(k), MessageKind.AGGREGATE, result.values)]
+        for k in range(n)
+    ], cfg.delivery, deliver)
+    messages = tuple(shares + obfuscated + broadcasts)
+    return result, Transcript(n, len(secrets[0]), cfg.share_range, cfg.seed, messages)
 
 
 def _both_paths(secrets, cfg, round_index):
-    """``run_round``'s result and transcript, then those of the honest nodes
-    that ``_execute_round`` runs over the same inputs."""
-    from fedtrend.netsim import _execute_round, _round_users
-
-    engine = run_round(secrets, cfg, round_index)
-    users, deliver_rng = _round_users(secrets, cfg, round_index)
-    return engine, _execute_round(users, cfg, round_index, deliver_rng)
+    """``run_round``'s result and transcript, then ``_reference_round``'s."""
+    return run_round(secrets, cfg, round_index), _reference_round(secrets, cfg, round_index)
 
 
 @pytest.mark.parametrize("round_index", [0, 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 45])
 @pytest.mark.parametrize("delivery", ["round_robin", "seeded_shuffle"])
-def test_engine_delivers_what_the_nodes_deliver(delivery, n, round_index):
+def test_engine_delivers_what_the_reference_delivers(delivery, n, round_index):
     secrets = random_secrets(n, 7, seed=n)
     cfg = RoundConfig(seed=5, delivery=delivery)
-    (agg, transcript), (node_agg, node_transcript) = _both_paths(secrets, cfg, round_index)
-    assert agg.values.tobytes() == node_agg.values.tobytes()
-    assert agg.bounds == node_agg.bounds
-    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(node_transcript)
+    (agg, transcript), (ref_agg, ref_transcript) = _both_paths(secrets, cfg, round_index)
+    assert agg.values.tobytes() == ref_agg.values.tobytes()
+    assert agg.bounds == ref_agg.bounds
+    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(ref_transcript)
     assert len(transcript.messages) == n * n + n
 
 
 def test_engine_keeps_a_lone_users_signed_zero():
     # -1e-300 encodes to -0.0; a sum started from zeros would give +0.0
     secrets = [fv(-1e-300, 0.5, bounds=(-1.0, 1.0))]
-    (agg, transcript), (node_agg, node_transcript) = _both_paths(
+    (agg, transcript), (ref_agg, ref_transcript) = _both_paths(
         secrets, RoundConfig(seed=0), 0
     )
-    assert agg.values.tobytes() == node_agg.values.tobytes()
+    assert agg.values.tobytes() == ref_agg.values.tobytes()
     assert np.signbit(agg.values).tolist() == [True, False]
-    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(node_transcript)
+    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(ref_transcript)
 
 
 def test_engine_shares_payloads_by_reference():
-    from fedtrend.netsim import _round_users
-
     n, cfg = 4, RoundConfig(seed=6)
     secrets = random_secrets(n, 5, seed=6)
     result, transcript = run_round(secrets, cfg)
-    users, _ = _round_users(secrets, cfg, 0)  # the same rngs, undrawn
+    seeds, _ = _round_seeds(secrets, cfg, 0)  # the same seeds
     blocks = [
-        make_shares(s, n, cfg.share_range, rng=user.rng, owner=i).shares
-        for i, (s, user) in enumerate(zip(secrets, users))
+        make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
+        for i, (s, seed) in enumerate(zip(secrets, seeds))
     ]
     shares = [m for m in transcript.messages if m.kind is MessageKind.SHARE]
     assert len(shares) == n * (n - 1)
@@ -199,6 +201,30 @@ def test_engine_shares_payloads_by_reference():
     broadcast = [m.payload for m in transcript.messages if m.kind is MessageKind.AGGREGATE]
     assert len(broadcast) == n
     assert all(payload is result.values for payload in broadcast)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("delivery", DELIVERIES)
+def test_transcript_follows_the_protocol_phases(delivery, n):
+    # read from the transcript alone, without the reference round
+    cfg = RoundConfig(seed=4, delivery=delivery)
+    agg, transcript = run_round(random_secrets(n, 5, seed=4), cfg)
+    users = [str(k) for k in range(n)]
+    kinds = [m.kind for m in transcript.messages]
+    phases = [MessageKind.SHARE, MessageKind.OBFUSCATED, MessageKind.AGGREGATE]
+    assert kinds == sorted(kinds, key=phases.index)
+    # every user hears once from each peer, and from no one else
+    for k in users:
+        senders = [m.sender for m in transcript.messages
+                   if m.kind is MessageKind.SHARE and m.receiver == k]
+        assert sorted(senders) == sorted(u for u in users if u != k)
+    vectors = [m for m in transcript.messages if m.kind is MessageKind.OBFUSCATED]
+    assert sorted(m.sender for m in vectors) == sorted(users)
+    assert {m.receiver for m in vectors} == {AGGREGATOR_ID}
+    broadcasts = [m for m in transcript.messages if m.kind is MessageKind.AGGREGATE]
+    assert sorted(m.receiver for m in broadcasts) == sorted(users)
+    assert all(m.sender == AGGREGATOR_ID for m in broadcasts)
+    assert all(m.payload.tobytes() == agg.values.tobytes() for m in broadcasts)
 
 
 def test_transcript_builds_its_messages_once_on_first_read():
@@ -227,19 +253,21 @@ def conformance_rounds(draw):
 @settings(max_examples=150, deadline=None)
 @given(conformance_rounds(), st.sampled_from(["round_robin", "seeded_shuffle"]),
        st.integers(0, 1), st.integers(0, 2**32))
-def test_engine_conforms_to_the_nodes_on_every_accepted_grid(round_, delivery, round_index, seed):
+def test_engine_conforms_to_the_reference_on_every_accepted_grid(
+    round_, delivery, round_index, seed
+):
     secrets, share_range = round_
     cfg = RoundConfig(seed=seed, share_range=share_range, delivery=delivery)
     try:
-        (agg, transcript), (node_agg, node_transcript) = _both_paths(
+        (agg, transcript), (ref_agg, ref_transcript) = _both_paths(
             secrets, cfg, round_index
         )
     except ValueError:
         assume(False)  # check_grid refuses this grid for these secrets
-    assert agg.values.tobytes() == node_agg.values.tobytes()
-    assert agg.bounds == node_agg.bounds
+    assert agg.values.tobytes() == ref_agg.values.tobytes()
+    assert agg.bounds == ref_agg.bounds
     jsonl = transcript_to_jsonl(transcript)
-    assert jsonl == transcript_to_jsonl(node_transcript)
+    assert jsonl == transcript_to_jsonl(ref_transcript)
     # each read draws the shares and the delivery order again from the seeds
     assert transcript_to_jsonl(transcript) == jsonl
     copies = [dataclasses.replace(transcript) for _ in range(2)]
@@ -258,150 +286,6 @@ def test_run_round_peak_memory_is_linear_in_users():
         tracemalloc.stop()
     # one user's block of shares is N·d; all N blocks at once would be 80x that
     assert peak < 10 * n * d * 8
-
-
-# ---------------------------------------------------------------------------
-# state machine violations
-# ---------------------------------------------------------------------------
-
-
-def make_user(index=0, n_users=3):
-    secret = FeatureVector(values=np.array([0.5]), bounds=(0.0, 1.0))
-    return UserNode(index, secret, n_users, 100.0, seeded_rng(0))
-
-
-def share_msg(sender, receiver, payload=(0.0,)):
-    return Message(0, str(sender), str(receiver), MessageKind.SHARE, np.asarray(payload))
-
-
-def obfuscated_msg(sender, payload=(0.5,)):
-    return Message(
-        0, str(sender), AGGREGATOR_ID, MessageKind.OBFUSCATED, np.asarray(payload)
-    )
-
-
-def share_before_start():
-    make_user().receive_share(share_msg(1, 0))
-
-
-def duplicate_share():
-    user = make_user()
-    user.start(0)
-    user.receive_share(share_msg(1, 0))
-    user.receive_share(share_msg(1, 0))
-
-
-def share_after_obfuscating():
-    user = make_user(n_users=2)
-    user.start(0)
-    out = user.receive_share(share_msg(1, 0))
-    assert out is not None and out.kind is MessageKind.OBFUSCATED
-    user.receive_share(share_msg(1, 0))
-
-
-def shares_to_user_0(*messages, n_users=3):
-    user = make_user(n_users=n_users)
-    user.start(0)
-    for msg in messages:
-        user.receive_share(msg)
-
-
-class SilentUser(UserNode):
-    def _maybe_obfuscate(self, round_no):
-        return None
-
-
-def round_with_silent_user(silent=1, n=3):
-    from fedtrend.netsim import _execute_round, _round_users
-
-    secrets = random_secrets(n, 2, seed=0)
-    cfg = RoundConfig(seed=0)
-    users, deliver_rng = _round_users(secrets, cfg, 0)
-    users[silent] = SilentUser(
-        silent, secrets[silent], n, cfg.share_range, users[silent].rng
-    )
-    _execute_round(users, cfg, 0, deliver_rng)
-
-
-def aggregator_fed(*messages, n_users=3):
-    agg = AggregatorNode(n_users, per_user_bounds=(0.0, 1.0))
-    for msg in messages:
-        agg.receive(msg)
-    return agg
-
-
-PROTOCOL_FAULTS = {
-    "share_before_start": (share_before_start, r"^user 0: share received"),
-    "duplicate_share": (duplicate_share, r"^user 0: .*duplicate share from 1$"),
-    "share_after_obfuscating": (share_after_obfuscating, r"^user 0: .*phase Obfuscated"),
-    "share_from_non_user": (
-        lambda: shares_to_user_0(share_msg("mallory", 0)),
-        r"^user 0: unexpected or duplicate share from mallory$",
-    ),
-    "share_from_unknown_user": (
-        lambda: shares_to_user_0(share_msg(3, 0)),
-        r"^user 0: unexpected or duplicate share from 3$",
-    ),
-    "share_wrong_length": (
-        lambda: shares_to_user_0(share_msg(2, 0, [0.5, 0.5])),
-        r"^user 0: share from 2 has shape \(2,\), not \(1,\)$",
-    ),
-    "share_nan": (
-        lambda: shares_to_user_0(share_msg(1, 0, [np.nan]), n_users=2),
-        r"^user 0: share from 1 has a non-finite entry$",
-    ),
-    "share_inf_then_honest": (
-        lambda: shares_to_user_0(share_msg(2, 0, [np.inf]), share_msg(1, 0)),
-        r"^user 0: share from 2 has a non-finite entry$",
-    ),
-    "share_to_aggregator": (
-        lambda: aggregator_fed(share_msg(0, AGGREGATOR_ID)),
-        r"^aggregator: received Share message from 0$",
-    ),
-    "duplicate_vector": (
-        lambda: aggregator_fed(obfuscated_msg(1), obfuscated_msg(1)),
-        r"duplicate vector from 1$",
-    ),
-    "unknown_sender": (lambda: aggregator_fed(obfuscated_msg(3)), r"vector from 3$"),
-    "non_user_sender": (
-        lambda: aggregator_fed(obfuscated_msg("mallory")),
-        r"^aggregator: unexpected or duplicate vector from mallory$",
-    ),
-    "nan": (
-        lambda: aggregator_fed(obfuscated_msg(0), obfuscated_msg(2, [np.nan])),
-        r"vector from 2 has a non-finite entry",
-    ),
-    "inf": (
-        lambda: aggregator_fed(obfuscated_msg(1, [-np.inf])),
-        r"vector from 1 has a non-finite entry",
-    ),
-    "wrong_length": (
-        lambda: aggregator_fed(obfuscated_msg(0), obfuscated_msg(2, [0.5, 0.5])),
-        r"vector from 2 has shape \(2,\), not \(1,\)",
-    ),
-    "missing_vector": (
-        round_with_silent_user,
-        r"without all obfuscated vectors; missing users 1$",
-    ),
-    "missing_vectors": (
-        lambda: aggregator_fed(obfuscated_msg(1), n_users=4).finish(),
-        r"missing users 0, 2, 3$",
-    ),
-}
-
-
-@pytest.mark.parametrize("fault", list(PROTOCOL_FAULTS))
-def test_protocol_violation_names_node(fault):
-    action, names_node = PROTOCOL_FAULTS[fault]
-    with pytest.raises(ProtocolViolation, match=names_node):
-        action()
-
-
-def test_user_rejects_double_start():
-    user = make_user()
-    user.start(0)
-    with pytest.raises(ProtocolViolation, match="start"):
-        user.start(0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +413,50 @@ def test_out_of_range_share_detected_in_transcript():
     # ...but the per-message range check trips
     privacy = transcript_privacy_check(transcript, secrets)
     assert any("outside" in reason for _, reason in privacy.violations)
+
+
+@pytest.mark.parametrize("amount", [np.inf, -np.inf, np.nan])
+def test_non_finite_inflation_is_flagged(amount):
+    # the aggregator sums what the wire carries; no range holds inf or NaN
+    secrets = random_secrets(4, 3, seed=2)
+    agg, _, report = inject_adversary(
+        secrets, RoundConfig(seed=2), "inflate_coordinate", adversary=1, coordinate=2,
+        amount=amount,
+    )
+    assert [j for j, _ in report.flagged] == [2]
+    assert np.isfinite(agg.values[:2]).all()
+    assert np.array_equal(agg.values[2:], [amount], equal_nan=True)
+
+
+@pytest.mark.parametrize("delivery", DELIVERIES)
+@pytest.mark.parametrize(
+    "behavior, rewritten",
+    [
+        ("inflate_coordinate", {("2", AGGREGATOR_ID)}),
+        ("out_of_range_share", {("2", "0"), ("0", AGGREGATOR_ID), ("2", AGGREGATOR_ID)}),
+    ],
+)
+def test_adversary_round_is_the_honest_round_rewritten(behavior, rewritten, delivery):
+    n, cfg = 5, RoundConfig(seed=12, delivery=delivery)
+    secrets = random_secrets(n, 4, seed=12)
+    honest_agg, honest = run_round(secrets, cfg)
+    agg, transcript, _ = inject_adversary(secrets, cfg, behavior, adversary=2, coordinate=1)
+
+    def route(m):
+        return m.round, m.sender, m.receiver, m.kind
+
+    assert list(map(route, transcript.messages)) == list(map(route, honest.messages))
+    assert len(transcript.messages) == n * n + n
+    changed = [
+        (m, h) for m, h in zip(transcript.messages, honest.messages)
+        if m.payload.tobytes() != h.payload.tobytes()
+    ]
+    assert all(np.flatnonzero(m.payload != h.payload).tolist() == [1] for m, h in changed)
+    # at D = 100 the 2D share is on the grid, so the excess cancels exactly
+    moved = behavior == "inflate_coordinate"
+    broadcasts = {(AGGREGATOR_ID, str(k)) for k in range(n)} if moved else set()
+    assert {(m.sender, m.receiver) for m, _ in changed} == rewritten | broadcasts
+    assert (agg.values.tobytes() == honest_agg.values.tobytes()) is not moved
 
 
 def fv(*values, bounds=(0.0, 1.0)):
@@ -670,6 +598,16 @@ def test_inject_adversary_needs_two_users():
             RoundConfig(seed=0),
             "inflate_coordinate",
         )
+
+
+@pytest.mark.parametrize("behavior", list(AdversaryBehavior))
+@pytest.mark.parametrize(
+    "index, value", [("adversary", -1), ("adversary", 4), ("coordinate", -1), ("coordinate", 3)]
+)
+def test_inject_adversary_rejects_an_index_out_of_range(behavior, index, value):
+    secrets = random_secrets(4, 3, seed=0)  # N = 4 users, d = 3 coordinates
+    with pytest.raises(ValueError, match=f"^{index} index out of range$"):
+        inject_adversary(secrets, RoundConfig(seed=0), behavior, **{index: value})
 
 
 # ---------------------------------------------------------------------------

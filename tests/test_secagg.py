@@ -230,6 +230,11 @@ def test_aggregate_requires_vectors():
         aggregate([])
 
 
+def test_aggregate_dimension_mismatch():
+    with pytest.raises(ValueError, match="disagree on dimension"):
+        aggregate([np.zeros(2), np.zeros(3)])
+
+
 def test_aggregate_order_independent():
     rng = seeded_rng(9)
     vectors = [rng.uniform(-5, 5, 6) for _ in range(5)]
