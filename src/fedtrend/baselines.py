@@ -8,14 +8,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayes import (
-    PosteriorRanking,
-    PriorDistribution,
-    local_likelihoods,
-    posterior_scores,
-)
+from .bayes import PosteriorRanking, PriorDistribution, local_likelihoods, rank_rounds
 from .corpus import Document, VocabularyIndex
-from .secagg import FeatureVector, ordered_sum
+from .secagg import FeatureVector, exact_sum
 
 __all__ = [
     "CountRanking",
@@ -98,14 +93,14 @@ def pooled_likelihood(
     k: int = 5,
     alpha0: float = 0.0,
 ) -> FeatureVector:
-    """Exact likelihood aggregate: per-user Dirichlet means summed in
-    ascending user order, with no shares and no network."""
+    """Exact likelihood aggregate: the correctly rounded sum of the per-user
+    Dirichlet means, with no shares and no network."""
     n = len(all_users_docs)
     if n == 0:
         raise ValueError("need at least one user")
     per_user = local_likelihoods(all_users_docs, vocab, k=k, alpha0=alpha0)
     return FeatureVector(
-        values=ordered_sum(lk.values.values for lk in per_user), bounds=(0.0, float(n))
+        values=exact_sum([lk.values.values for lk in per_user]), bounds=(0.0, float(n))
     )
 
 
@@ -119,8 +114,11 @@ def centralized_oracle(
 ) -> PosteriorRanking:
     """Posterior ranking computed without any secure aggregation.
 
-    Mathematically identical to the federated path; used to verify that
-    the protocol round changes nothing but the privacy of the inputs.
+    Scored by ``rank_rounds`` like the federated path, on the score grid of
+    pitch ``resolution``; used to verify that the protocol round changes
+    nothing but the privacy of the inputs.
     """
     pooled = pooled_likelihood(all_users_docs, vocab, k=k, alpha0=alpha0)
-    return posterior_scores(pooled, prior, resolution=resolution)
+    return rank_rounds(
+        [pooled.values], prior, len(all_users_docs), resolution=resolution
+    )[0]

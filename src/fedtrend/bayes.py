@@ -6,6 +6,8 @@ Each user's likelihood vector is the mean of a Dirichlet parametrized by
 how many of her documents carry each keyword in their primary keyword set.
 Posterior scores are likelihood times prior; the marginal evidence term is
 a constant and is never computed, since only the ranking matters.
+``rank_rounds`` is the one path from summed likelihoods to rankings: the
+federated rounds, the oracle and ``fedtrend rank`` all go through it.
 """
 
 from __future__ import annotations
@@ -26,11 +28,19 @@ __all__ = [
     "compute_prior",
     "local_likelihoods",
     "posterior_scores",
-    "round_to_grid",
+    "rank_rounds",
     "update_prior",
 ]
 
 _SIMPLEX_TOLERANCE = 1e-12
+
+#: Grid pitch used to round aggregates before ranking.  The federated
+#: aggregate and the oracle are the same exact sum of encoded likelihoods,
+#: so this grid does not decide oracle agreement.  It keeps rationally tied
+#: coordinates (1/3 + 1/6 against 1/2) tied: after per-user rounding onto
+#: ``secagg``'s 2**-f grid such sums can differ by a few 2**-f steps, far
+#: below this pitch and below any genuine score separation.
+DEFAULT_SCORE_RESOLUTION = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,12 +82,8 @@ class PosteriorRanking:
     scores: np.ndarray
     order: tuple[int, ...]
 
-    @classmethod
-    def from_scores(cls, vocab: VocabularyIndex, scores: np.ndarray) -> "PosteriorRanking":
-        scores = frozen(scores)
-        if scores.shape != (len(vocab),):
-            raise ValueError("score length does not match vocabulary size")
-        return cls(vocab, scores, _descending_order(vocab.keywords, scores, 1.0))
+    def __post_init__(self):
+        object.__setattr__(self, "scores", frozen(self.scores))
 
     def ranked_keywords(self) -> tuple[str, ...]:
         return tuple(self.vocab.keywords[j] for j in self.order)
@@ -192,32 +198,44 @@ def compute_local_likelihood(
 
 
 def posterior_scores(
-    aggregated_likelihood: FeatureVector,
-    prior: PriorDistribution,
-    resolution: float = 0.0,
+    aggregated_likelihood: FeatureVector, prior: PriorDistribution
 ) -> PosteriorRanking:
-    """Score keywords by aggregated likelihood times prior and rank them.
-
-    ``resolution`` > 0 rounds the aggregated likelihood onto a grid of that
-    pitch first.  Set it just above the secure-aggregation reconstruction
-    noise (and below any genuine score separation) so that coordinates that
-    are mathematically tied stay exactly tied after a noisy aggregation.
-    """
+    """Score keywords by aggregated likelihood times prior and rank them."""
     if len(aggregated_likelihood) != len(prior.vocab):
         raise ValueError("aggregated likelihood and prior use different vocabularies")
-    values = round_to_grid(aggregated_likelihood.values, resolution)
+    values = aggregated_likelihood.values
     scores = values * prior.p
     scores.setflags(write=False)
     order = _descending_order(prior.vocab.keywords, values, prior.p)
     return PosteriorRanking(vocab=prior.vocab, scores=scores, order=order)
 
 
-def round_to_grid(values: np.ndarray, resolution: float) -> np.ndarray:
-    """``values`` rounded onto a grid of pitch ``resolution``; unchanged
-    when ``resolution`` is 0."""
-    if resolution > 0.0:
-        return np.round(values / resolution) * resolution
-    return values
+def rank_rounds(
+    aggregates: Sequence[np.ndarray],
+    prior: PriorDistribution,
+    n_users: int,
+    aggregation: str = "sum",
+    resolution: float = DEFAULT_SCORE_RESOLUTION,
+) -> list[PosteriorRanking]:
+    """One posterior ranking per round's sum of ``n_users`` likelihoods.
+
+    Each sum is rounded onto the score grid of pitch ``resolution`` (left
+    as it is when ``resolution`` is 0), divided by ``n_users`` when
+    ``aggregation`` is ``mean``, and ranked under the prior that the
+    previous round's ranking updated.  No update follows the last round: it
+    would raise on all-zero scores and nothing reads it.
+    """
+    rankings = []
+    for round_index, values in enumerate(aggregates):
+        if resolution > 0.0:
+            values = np.round(values / resolution) * resolution
+        if aggregation == "mean":
+            values = values / n_users
+        fv = FeatureVector(values=values, bounds=(0.0, float(n_users)))
+        rankings.append(posterior_scores(fv, prior))
+        if round_index + 1 < len(aggregates):
+            prior = update_prior(rankings[-1])
+    return rankings
 
 
 def update_prior(posterior: PosteriorRanking) -> PriorDistribution:

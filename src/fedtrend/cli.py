@@ -81,11 +81,14 @@ def _config_from(cls, args: argparse.Namespace):
     return cls(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
 
 
-def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
+def _load_vectors(
+    path: str, bounds: tuple[float, float] | None = None
+) -> list[tuple[str, np.ndarray]]:
     """JSONL vector file: one {"id": ..., "values": [...]} object per line.
 
-    Values must be a non-empty flat list of finite numbers; a record that
-    breaks this is a configuration error naming the file, line and record id.
+    Values must be a non-empty flat list of finite numbers, inside
+    ``bounds`` when given; a record that breaks this is a configuration
+    error naming the file, line and record id.
     """
     vectors = []
     with open(path, encoding="utf-8") as handle:
@@ -107,6 +110,8 @@ def _load_vectors(path: str) -> list[tuple[str, np.ndarray]]:
                 raise ConfigError(f"{where}: values must be a non-empty flat list")
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"{where}: non-finite value")
+            if bounds and not bounds[0] <= values.min() <= values.max() <= bounds[1]:
+                raise ConfigError(f"{where}: values outside [{bounds[0]:g}, {bounds[1]:g}]")
             vectors.append((record_id, values))
     if not vectors:
         raise ConfigError(f"{path}: no vectors found")
@@ -139,7 +144,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     result = run_experiment(_config_from(ExperimentConfig, args))
-    if result.posterior.order == result.oracle.order:
+    if result.meta["oracle_match"]:
         print(f"oracle check passed: {len(result.vocab)} keywords, seed {args.seed}")
         secrets = [lk.values for lk in result.likelihoods]
         print(_raw_error_line(result.aggregate, secrets, result.config.share_range))
@@ -180,17 +185,14 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    vectors = _load_vectors(args.likelihoods)
+    # likelihoods lie in [0, 1], which also keeps the score grid finite
+    vectors = _load_vectors(args.likelihoods, bounds=(0.0, 1.0))
     vocab = corpus.load_idf_table(args.idf)
     if any(v.shape[0] != len(vocab) for _, v in vectors):
         raise ConfigError("likelihood vectors do not match the vocabulary size")
-    total = secagg.ordered_sum([v for _, v in vectors])
-    if args.agg == "mean":
-        total = total / len(vectors)
+    total = secagg.exact_sum([v for _, v in vectors])
     prior = bayes.compute_prior(vocab)
-    ranking = bayes.posterior_scores(
-        secagg.FeatureVector(values=total, bounds=(0.0, float(len(vectors)))), prior
-    )
+    ranking = bayes.rank_rounds([total], prior, len(vectors), args.agg)[0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rankings.csv").write_text(rankings_csv(vocab, ranking), encoding="utf-8")

@@ -32,14 +32,6 @@ __all__ = [
     "write_outputs",
 ]
 
-#: Grid pitch used to round aggregates before ranking.  The federated
-#: aggregate and the oracle are the same exact sum of encoded likelihoods,
-#: so this grid does not decide oracle agreement.  It keeps rationally tied
-#: coordinates (1/3 + 1/6 against 1/2) tied: after per-user rounding onto
-#: ``secagg``'s 2**-f grid such sums can differ by a few 2**-f steps, far
-#: below this pitch and below any genuine score separation.
-DEFAULT_SCORE_RESOLUTION = 1e-9
-
 #: How a round's aggregate becomes evidence: the sum, or the sum over N.
 AGGREGATIONS = ("sum", "mean")
 #: How ``build_vocabulary`` treats corpus tokens the IDF table lacks.
@@ -66,7 +58,7 @@ class ExperimentConfig:
     delivery: str = netsim.DELIVERIES[0]
     alpha0: float = 0.0
     lemmatize: bool = True
-    score_resolution: float = DEFAULT_SCORE_RESOLUTION
+    score_resolution: float = bayes.DEFAULT_SCORE_RESOLUTION
 
     def validate(self) -> None:
         if self.n_users < 1:
@@ -158,30 +150,6 @@ def sample_user_documents(
     return assignments
 
 
-def _rank_rounds(
-    cfg: ExperimentConfig,
-    aggregates: Sequence[np.ndarray],
-    prior: bayes.PriorDistribution,
-) -> list[bayes.PosteriorRanking]:
-    """One posterior ranking per round's aggregate.
-
-    Each aggregate is rounded onto the score grid (before any ``mean``
-    division) and ranked under the prior that the previous round's ranking
-    updated.  No update follows the last round: it would raise on all-zero
-    scores and nothing reads it.
-    """
-    rankings = []
-    for round_index, aggregate in enumerate(aggregates):
-        values = bayes.round_to_grid(aggregate, cfg.score_resolution)
-        if cfg.aggregation == "mean":
-            values = values / cfg.n_users
-        fv = secagg.FeatureVector(values=values, bounds=(0.0, float(cfg.n_users)))
-        rankings.append(bayes.posterior_scores(fv, prior))
-        if round_index + 1 < len(aggregates):
-            prior = bayes.update_prior(rankings[-1])
-    return rankings
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
 
@@ -226,8 +194,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     exact = secagg.exact_sum(
         [secagg.encode(s, cfg.n_users, cfg.share_range) for s in secrets]
     )
-    posteriors = _rank_rounds(cfg, aggregates, prior)
-    oracle = _rank_rounds(cfg, [exact] * cfg.rounds, prior)[-1]
+    scoring = (prior, cfg.n_users, cfg.aggregation, cfg.score_resolution)
+    posteriors = bayes.rank_rounds(aggregates, *scoring)
+    oracle = bayes.rank_rounds([exact] * cfg.rounds, *scoring)[-1]
 
     pooled_docs = [doc for docs in user_docs for doc in docs]
     count_ranking = baselines.rank_by_total_count(pooled_docs, vocab)

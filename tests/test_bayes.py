@@ -6,12 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedtrend.bayes import (
-    PosteriorRanking,
     PriorDistribution,
     compute_local_likelihood,
     compute_prior,
     local_likelihoods,
     posterior_scores,
+    rank_rounds,
     update_prior,
 )
 from fedtrend.corpus import Document, VocabularyIndex, primary_keyword_set
@@ -232,19 +232,15 @@ def test_posterior_dimension_mismatch():
         posterior_scores(agg, prior)
 
 
-def test_posterior_resolution_merges_noise_ties():
-    vocab = vocab_of(("a", 1.0), ("b", 1.0))
-    prior = compute_prior(vocab)
-    noisy = FeatureVector(values=np.array([0.5, 0.5 + 1e-13]), bounds=(0.0, 1.0))
-    exact = posterior_scores(noisy, prior, resolution=1e-9)
-    assert exact.scores[0] == exact.scores[1]
-    assert exact.ranked_keywords() == ("a", "b")
+def uniform_posterior(vocab, likelihood):
+    """The posterior of ``likelihood`` under the uniform prior of ``vocab``."""
+    prior = PriorDistribution(vocab=vocab, p=np.full(len(vocab), 1.0 / len(vocab)))
+    return posterior_scores(FeatureVector(values=np.asarray(likelihood)), prior)
 
 
 def test_update_prior_normalizes():
     vocab = vocab_of(("a", 1.0), ("b", 1.0))
-    ranking = PosteriorRanking.from_scores(vocab, np.array([0.27, 0.07]))
-    prior = update_prior(ranking)
+    prior = update_prior(uniform_posterior(vocab, [0.27, 0.07]))
     assert prior.p == pytest.approx([0.27 / 0.34, 0.07 / 0.34])
     assert prior.p[0] == pytest.approx(0.79412, abs=1e-5)
 
@@ -252,15 +248,52 @@ def test_update_prior_normalizes():
 def test_update_prior_idempotent_on_simplex():
     vocab = vocab_of(("a", 1.0), ("b", 1.0), ("c", 1.0))
     scores = np.array([0.5, 0.25, 0.25])
-    prior = update_prior(PosteriorRanking.from_scores(vocab, scores))
+    prior = update_prior(uniform_posterior(vocab, scores))
     assert np.max(np.abs(prior.p - scores)) <= 1e-12
 
 
 def test_update_prior_rejects_zero_evidence():
-    vocab = vocab_of(("a", 1.0))
-    ranking = PosteriorRanking.from_scores(vocab, np.zeros(1))
+    ranking = uniform_posterior(vocab_of(("a", 1.0)), np.zeros(1))
     with pytest.raises(ValueError, match="no evidence"):
         update_prior(ranking)
+
+
+# ---------------------------------------------------------------------------
+# rank_rounds
+# ---------------------------------------------------------------------------
+
+
+def test_rank_rounds_grid_merges_noise_ties():
+    prior = compute_prior(vocab_of(("a", 1.0), ("b", 1.0)))
+    (ranking,) = rank_rounds([np.array([0.5, 0.5 + 1e-13])], prior, 1)
+    assert ranking.scores[0] == ranking.scores[1]
+    assert ranking.ranked_keywords() == ("a", "b")
+
+
+def test_rank_rounds_resolution_zero_keeps_the_sums():
+    prior = compute_prior(vocab_of(("a", 1.0), ("b", 1.0)))
+    (ranking,) = rank_rounds([np.array([0.5, 0.5 + 1e-13])], prior, 1, resolution=0.0)
+    assert ranking.ranked_keywords() == ("b", "a")
+
+
+def test_rank_rounds_mean_divides_after_the_grid():
+    prior = compute_prior(vocab_of(("a", 1.0), ("b", 3.0)))
+    total = np.array([1.4, 0.6 + 1e-12])
+    (mean,) = rank_rounds([total], prior, 2, aggregation="mean")
+    on_grid = np.round(total / 1e-9) * 1e-9
+    assert mean.scores.tobytes() == (on_grid / 2 * prior.p).tobytes()
+
+
+def test_rank_rounds_updates_the_prior_between_rounds_only():
+    vocab = vocab_of(("a", 1.0), ("b", 2.0), ("c", 3.0))
+    prior = compute_prior(vocab)
+    likelihood = np.array([0.6, 0.3, 0.1])
+    rounds = [likelihood, likelihood, np.zeros(3)]
+    first, second, last = rank_rounds(rounds, prior, 1, resolution=0.0)
+    assert first.scores.tobytes() == (likelihood * prior.p).tobytes()
+    assert second.scores.tobytes() == (likelihood * update_prior(first).p).tobytes()
+    # an all-zero last round ranks; updating on it would raise
+    assert np.all(last.scores == 0.0)
 
 
 def test_two_round_product_oracle():

@@ -14,6 +14,7 @@ from fedtrend.experiment import (
     ConfigError,
     ExperimentConfig,
     build_vocabulary,
+    rankings_csv,
     run_experiment,
     sample_user_documents,
     write_outputs,
@@ -605,6 +606,59 @@ def test_cli_rank_dimension_mismatch(tmp_path):
         ["rank", "--likelihoods", str(likelihoods), "--idf", str(idf), "--out", "x"]
     )
     assert rc == 2
+
+
+def _rank_likelihoods_of(tmp_path, result, agg, reverse=False):
+    """``rank``'s rankings.csv bytes over the likelihood vectors of ``result``."""
+    lines = [
+        json.dumps({"id": lk.user_id, "values": lk.values.values.tolist()}) + "\n"
+        for lk in result.likelihoods
+    ]
+    likelihoods = tmp_path / "lk.jsonl"
+    likelihoods.write_text("".join(lines[::-1] if reverse else lines), encoding="utf-8")
+    out = tmp_path / "rank"
+    argv = ["rank", "--likelihoods", str(likelihoods), "--agg", agg, "--out", str(out)]
+    assert cli.main(argv) == 0
+    return (out / "rankings.csv").read_bytes()
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean"])
+@pytest.mark.parametrize("users, seed", [(10, 18), (12, 7)])
+def test_cli_rank_writes_the_rankings_of_run(tmp_path, users, seed, agg):
+    # at N = 12, seed 7 four exactly tied keywords share ranks 68-71
+    result = run_experiment(make_experiment_config(n_users=users, seed=seed, aggregation=agg))
+    expected = rankings_csv(result.vocab, result.posterior).encode("utf-8")
+    assert _rank_likelihoods_of(tmp_path, result, agg) == expected
+
+
+def test_cli_rank_ignores_line_order(tmp_path):
+    result = run_experiment(make_experiment_config(n_users=12, seed=7))
+    forward = _rank_likelihoods_of(tmp_path, result, "sum")
+    assert _rank_likelihoods_of(tmp_path, result, "sum", reverse=True) == forward
+
+
+@pytest.mark.parametrize(
+    "row, code", [([1e300, 0.4], 2), ([-0.5, 0.4], 2), ([1.5, 0], 2), ([0, 1], 0)]
+)
+def test_cli_rank_takes_likelihoods_in_the_unit_interval_only(tmp_path, capsys, row, code):
+    idf = tmp_path / "idf.tsv"
+    idf.write_text("alpha\t1.0\nbeta\t4.0\n", encoding="utf-8")
+    likelihoods = tmp_path / "lk.jsonl"
+    likelihoods.write_text(
+        json.dumps({"id": "u0", "values": [0.3, 0.1]}) + "\n"
+        + json.dumps({"id": "u1", "values": row}) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "rank"
+    argv = ["rank", "--likelihoods", str(likelihoods), "--idf", str(idf), "--out", str(out)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "line 2" in err and "'u1'" in err and "outside [0, 1]" in err
+        assert not out.exists()
+    else:
+        rows = (out / "rankings.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert all(np.isfinite(float(line.split(",")[1])) for line in rows)
 
 
 def test_cli_aggregate_bad_vector_file(tmp_path):

@@ -339,7 +339,7 @@ KEEPERS = {
     "ShareSet": lambda a: ShareSet(owner=0, shares=a).shares,
     "Message": lambda a: Message(0, "0", "1", MessageKind.SHARE, a).payload,
     "PriorDistribution": lambda a: PriorDistribution(vocab=VOCAB, p=a).p,
-    "PosteriorRanking": lambda a: PosteriorRanking.from_scores(VOCAB, a).scores,
+    "PosteriorRanking": lambda a: PosteriorRanking(VOCAB, a, (0, 1)).scores,
     "VocabularyIndex": lambda a: VocabularyIndex(["a", "b"], a).idf,
 }
 
