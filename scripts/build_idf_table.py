@@ -32,10 +32,9 @@ PUBLISHED_IDF = {
 
 def main() -> None:
     cfg = corpus.default_preprocess_config()
-    docs = [
-        corpus.preprocess(doc, cfg)
-        for doc in corpus.load_corpus(data.msmarco_corpus_path(), "lines")
-    ]
+    docs = corpus.preprocess_corpus(
+        corpus.load_corpus(data.msmarco_corpus_path(), "lines"), cfg
+    )
     n = len(docs)
     df: dict[str, int] = {}
     for doc in docs:

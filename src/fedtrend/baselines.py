@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bayes import PosteriorRanking, PriorDistribution, local_likelihoods, rank_rounds
-from .corpus import Document, VocabularyIndex
+from .corpus import Document, VocabularyIndex, document_columns
 from .secagg import FeatureVector, exact_sum
 
 __all__ = [
@@ -18,6 +17,7 @@ __all__ = [
     "local_top_keyword",
     "pooled_likelihood",
     "rank_by_pooled_trend",
+    "rank_by_term_totals",
     "rank_by_total_count",
 ]
 
@@ -37,17 +37,13 @@ class CountRanking:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], dense: bool = False) -> "CountRanking":
-        order = tuple(sorted(counts, key=lambda kw: (-counts[kw], kw)))
-        ranks: dict[str, int] = {}
-        for position, kw in enumerate(order, start=1):
-            if dense:
-                prev = order[position - 2] if position > 1 else None
-                if prev is not None and counts[prev] == counts[kw]:
-                    ranks[kw] = ranks[prev]
-                else:
-                    ranks[kw] = 1 if prev is None else ranks[prev] + 1
-            else:
-                ranks[kw] = position
+        # a stable descending sort keeps the lexicographic order among ties
+        order = tuple(sorted(sorted(counts), key=counts.__getitem__, reverse=True))
+        if dense:  # 1 + the number of distinct counts above
+            levels = sorted(set(counts.values()), reverse=True)
+            ranks = dict(zip(order, (levels.index(counts[kw]) + 1 for kw in order)))
+        else:
+            ranks = dict(zip(order, range(1, len(order) + 1)))
         return cls(counts=dict(counts), order=order, ranks=ranks)
 
 
@@ -56,13 +52,16 @@ def rank_by_total_count(
 ) -> CountRanking:
     """Rank vocabulary keywords by total token occurrences in the pooled
     document multiset (documents sampled more than once count per copy).
-    Each distinct document's tokens are counted once, weighted by its copies."""
-    counts = {kw: 0 for kw in vocab.keywords}
-    for doc, copies in Counter(all_docs).items():
-        for token, occurrences in Counter(doc.tokens).items():
-            if token in counts:
-                counts[token] += occurrences * copies
-    return CountRanking.from_counts(counts)
+    Each distinct document's tokens are counted once, weighted by its
+    copies in one ``bincount`` over the pooled copies."""
+    copies, _, terms = document_columns([all_docs], vocab)
+    return rank_by_term_totals(terms.weighted_sum(copies[0]), vocab)
+
+
+def rank_by_term_totals(totals: np.ndarray, vocab: VocabularyIndex) -> CountRanking:
+    """``rank_by_total_count`` from each keyword's total occurrences, as
+    ``corpus.DocumentColumns.weighted_sum`` gives them."""
+    return CountRanking.from_counts(dict(zip(vocab.keywords, totals.astype(int).tolist())))
 
 
 def rank_by_pooled_trend(local_tops: Sequence[str]) -> CountRanking:
@@ -81,10 +80,10 @@ def local_top_keyword(likelihood_values: np.ndarray, vocab: VocabularyIndex) -> 
     """Argmax keyword of one user's likelihood vector, ties lexicographic;
     None when the vector is all zeros (nothing to report)."""
     values = np.asarray(likelihood_values)
-    if not np.any(values > 0):
+    top = values.max(initial=0.0)
+    if not top > 0:
         return None
-    best = np.flatnonzero(values == values.max())
-    return min(vocab.keywords[j] for j in best)
+    return min(vocab.keywords[j] for j in np.flatnonzero(values == top).tolist())
 
 
 def pooled_likelihood(

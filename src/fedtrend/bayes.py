@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, VocabularyIndex, primary_keyword_set
+from .corpus import Document, DocumentColumns, VocabularyIndex, document_columns
 from .secagg import FeatureVector, frozen
 
 __all__ = [
     "LikelihoodVector",
     "PosteriorRanking",
     "PriorDistribution",
+    "column_likelihoods",
     "compute_local_likelihood",
     "compute_prior",
     "local_likelihoods",
@@ -108,17 +109,17 @@ def _descending_order(keywords, values, weights) -> tuple[int, ...]:
     values, weights = np.broadcast_arrays(values, weights)
     tiny = np.finfo(np.float64).tiny
     underflowed = (products > -tiny) & (products < tiny) & (values != 0)
-    exact = {}  # j -> -(exact product) * 2**2148, an integer
-    for j in np.flatnonzero(underflowed).tolist():
+    key = (-products).tolist()
+    exact = np.flatnonzero(underflowed).tolist()
+    if exact:
+        key = [(x, 0) for x in key]  # (-rounded product, -(exact product) * 2**2148)
+    for j in exact:
         # every double is an integer multiple of 2**-1074
         (a, b), (c, d) = values[j].as_integer_ratio(), weights[j].as_integer_ratio()
-        exact[j] = -((a << 1074) // b) * ((c << 1074) // d)
-    return tuple(
-        sorted(
-            range(len(keywords)),
-            key=lambda j: (-products[j], exact.get(j, 0), keywords[j]),
-        )
-    )
+        key[j] = (key[j][0], -((a << 1074) // b) * ((c << 1074) // d))
+    by_keyword = sorted(range(len(keywords)), key=keywords.__getitem__)
+    # a stable sort keeps keyword order among equal keys
+    return tuple(sorted(by_keyword, key=key.__getitem__))
 
 
 def compute_prior(vocab: VocabularyIndex) -> PriorDistribution:
@@ -144,38 +145,30 @@ def local_likelihoods(
     Each vector sums to 1 unless its user contributes no counts at all, in
     which case it is all zeros.
 
-    Each distinct document's primary keyword set is computed once per call,
-    whichever users sampled it and however often.  Documents are told apart
-    by value, so two documents sharing an id but not their tokens stay
-    distinct.  Counts are integers until the final division, so the result
-    does not depend on how the work is grouped.
+    Each distinct document (told apart by value) is reduced once per call,
+    and each user is a row of copies per document (``document_columns``).
     """
+    copies, primary, _ = document_columns(all_users_docs, vocab, k)
+    return column_likelihoods(primary, copies, alpha0)
+
+
+def column_likelihoods(
+    primary: DocumentColumns, copies: np.ndarray, alpha0: float = 0.0
+) -> list[LikelihoodVector]:
+    """``local_likelihoods`` from primary keyword columns and one row of
+    copies per user: one weighted ``bincount`` per user, exact integers
+    until the final division."""
     if alpha0 < 0:
         raise ValueError("alpha0 must be nonnegative")
-    columns: dict[Document, list[int]] = {}  # vocabulary indices per document
     likelihoods = []
-    for i, user_docs in enumerate(all_users_docs):
-        hits: list[int] = []
-        for doc in user_docs:
-            doc_columns = columns.get(doc)
-            if doc_columns is None:
-                keywords = primary_keyword_set(doc, k)
-                doc_columns = columns[doc] = [
-                    j for j in map(vocab.index_of, keywords) if j is not None
-                ]
-            hits.extend(doc_columns)
-        counts = np.bincount(
-            np.asarray(hits, dtype=np.intp), minlength=len(vocab)
-        ).astype(np.float64)
+    for i, user_copies in enumerate(copies):
+        counts = primary.weighted_sum(user_copies)
         if alpha0 > 0:
             counts += alpha0
         total = float(counts.sum())
         values = counts / total if total > 0 else counts
-        likelihoods.append(
-            LikelihoodVector(
-                user_id=str(i), values=FeatureVector(values=values, bounds=(0.0, 1.0))
-            )
-        )
+        fv = FeatureVector(values=values, bounds=(0.0, 1.0))
+        likelihoods.append(LikelihoodVector(user_id=str(i), values=fv))
     return likelihoods
 
 
@@ -186,13 +179,8 @@ def compute_local_likelihood(
     user_id: str = "",
     alpha0: float = 0.0,
 ) -> LikelihoodVector:
-    """One user's likelihood, as ``local_likelihoods`` computes it.
-
-    Each distinct document among ``user_docs`` is reduced to its primary
-    keyword set once per call.  To score many users, call
-    ``local_likelihoods`` once instead, so that documents shared between
-    users are also reduced once.
-    """
+    """One user's likelihood, as ``local_likelihoods`` computes it; to
+    score many users, call that once, so shared documents are reduced once."""
     (likelihood,) = local_likelihoods([user_docs], vocab, k=k, alpha0=alpha0)
     return replace(likelihood, user_id=user_id)
 

@@ -6,8 +6,8 @@ Subcommands:
   rank       Bayes ranking only, over a JSONL file of likelihood vectors
   check      assert the federated ranking equals the centralized oracle
 
-Exit codes: 0 success, 1 check mismatch, 2 configuration error,
-4 range-validation failure.
+Exit codes: 0 success, 1 check mismatch, 2 configuration error (a
+degenerate IDF table among them), 4 range-validation failure.
 """
 
 from __future__ import annotations
@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is a reference cycle: dropped before the command runs, it is
+    # freed young instead of aging into the collector's oldest generation.
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, corpus.CorpusFormatError, OSError) as exc:

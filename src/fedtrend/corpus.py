@@ -12,6 +12,7 @@ import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -26,12 +27,14 @@ __all__ = [
     "PreprocessConfig",
     "VocabularyIndex",
     "default_preprocess_config",
+    "document_columns",
     "document_frequency",
     "lemmatize",
     "load_corpus",
     "load_idf_table",
     "load_stopwords",
     "preprocess",
+    "preprocess_corpus",
     "primary_keyword_set",
     "tokenize",
 ]
@@ -132,7 +135,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def load_idf_table(path: str | Path) -> VocabularyIndex:
-    """TSV with ``term<TAB>idf`` per line; duplicate terms are an error."""
+    """TSV with ``term<TAB>idf`` per line; duplicate terms are an error, and
+    so is a table whose weights sum to zero (it gives no prior)."""
     keywords: list[str] = []
     idf: list[float] = []
     seen: set[str] = set()
@@ -159,9 +163,16 @@ def load_idf_table(path: str | Path) -> VocabularyIndex:
             keywords.append(term)
             idf.append(value)
     try:
-        return VocabularyIndex(keywords, idf)
+        vocab = VocabularyIndex(keywords, idf)
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
+    if not vocab.idf.sum() > 0:
+        raise CorpusFormatError(f"{path}: degenerate prior: IDF table sums to zero")
+    return vocab
+
+
+#: ``preprocess_corpus`` settings under which it only tokenizes.
+_TOKENIZE_ONLY = PreprocessConfig(stopwords=frozenset(), lemmatize=False)
 
 
 def default_preprocess_config(lemmatize: bool = True) -> PreprocessConfig:
@@ -187,14 +198,12 @@ def tokenize(text: str) -> tuple[str, ...]:
 
     Each chunk loses its leading and trailing punctuation (any Unicode
     ``P*`` category), then its interior punctuation except hyphens
-    ("victim-offender" style compounds stay intact).  Punctuation is looked
-    up once per call, over the text's distinct characters.
+    ("victim-offender" style compounds stay intact).  This is
+    ``preprocess_corpus`` of one text with no stopwords or lemmas, so
+    punctuation is looked up once per call, over the text's characters.
     """
-    text = text.lower()
-    punct = "".join(ch for ch in set(text) if _is_punct(ch))
-    interior = str.maketrans("", "", punct.replace("-", ""))
-    chunks = (chunk.strip(punct).translate(interior) for chunk in text.split())
-    return tuple(t for t in chunks if t)
+    (doc,) = preprocess_corpus([Document(id="", raw_text=text)], _TOKENIZE_ONLY)
+    return doc.tokens
 
 
 _SIBILANT_STEMS = ("x", "z", "ch", "sh", "ss")
@@ -236,17 +245,35 @@ def lemmatize(word: str) -> str:
     return word
 
 
-def preprocess(doc: Document, cfg: PreprocessConfig) -> Document:
-    """Return ``doc`` with tokens populated; idempotent and deterministic.
+def preprocess_corpus(docs: Sequence[Document], cfg: PreprocessConfig) -> list[Document]:
+    """``docs`` with tokens populated, in one pass over the corpus: one
+    table drops all its punctuation but hyphens, and stripping hyphens from
+    each chunk's ends then equals ``tokenize``'s rule.  Each distinct chunk
+    is stopword-filtered, lemmatized and filtered again once."""
+    chars = set("".join(ch.lower() for ch in set().union(*(d.raw_text for d in docs))))
+    drop = str.maketrans("", "", "".join(c for c in chars if c != "-" and _is_punct(c)))
+    token_of: dict[str, str] = {}  # chunk -> token; "" drops the chunk
+    done = []
+    for doc in docs:
+        tokens = []
+        for chunk in doc.raw_text.lower().translate(drop).split():
+            token = token_of.get(chunk)
+            if token is None:
+                word = chunk.strip("-")
+                token = lemmatize(word) if cfg.lemmatize else word
+                drop_it = word in cfg.stopwords or token in cfg.stopwords
+                token = token_of[chunk] = "" if drop_it else token
+            if token:
+                tokens.append(token)
+        done.append(replace(doc, tokens=tuple(tokens)))
+    return done
 
-    Stopwords are filtered both before lemmatization (per the pipeline
-    order) and after it, so no emitted token is ever a stopword.
-    """
-    tokens = [t for t in tokenize(doc.raw_text) if t not in cfg.stopwords]
-    if cfg.lemmatize:
-        tokens = [lemmatize(t) for t in tokens]
-        tokens = [t for t in tokens if t not in cfg.stopwords]
-    return replace(doc, tokens=tuple(tokens))
+
+def preprocess(doc: Document, cfg: PreprocessConfig) -> Document:
+    """``doc`` with tokens populated, as ``preprocess_corpus`` does it;
+    idempotent and deterministic."""
+    (done,) = preprocess_corpus([doc], cfg)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +281,74 @@ def preprocess(doc: Document, cfg: PreprocessConfig) -> Document:
 # ---------------------------------------------------------------------------
 
 
+def _top_k(counts: Counter, k: int) -> list[str]:
+    """The ``k`` most counted tokens, ties lexicographic ascending."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    # a stable descending sort keeps the lexicographic order among ties
+    return sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:k]
+
+
 def primary_keyword_set(doc: Document, k: int = 5) -> frozenset[str]:
     """Top-``k`` tokens by term frequency, ties lexicographic ascending.
 
     With fewer than ``k`` distinct tokens, all of them are returned.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    counts = Counter(doc.tokens)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return frozenset(token for token, _ in ranked[:k])
+    return frozenset(_top_k(Counter(doc.tokens), k))
+
+
+class DocumentColumns:
+    """Sparse (document x keyword) counts: document ``doc[e]`` holds
+    ``count[e]`` of keyword ``col[e]`` of a vocabulary of ``size``."""
+
+    def __init__(self, doc: list[int], col: list[int], count: list[int], size: int):
+        self.doc, self.col = np.asarray(doc, np.intp), np.asarray(col, np.intp)
+        self.count, self.size = np.asarray(count, np.int64), size
+
+    def weighted_sum(self, copies: np.ndarray) -> np.ndarray:
+        """Entry j: sum over documents d of copies[d] * (count of j in d);
+        integers, so exact in float64 below 2**53."""
+        weights = self.count * copies[self.doc]
+        sums = np.bincount(self.col, weights=weights, minlength=self.size)
+        return sums.astype(np.float64, copy=False)  # an empty input gives int64
+
+
+def document_columns(
+    groups: Sequence[Sequence[Document]], vocab: VocabularyIndex, k: int = 5
+) -> tuple[np.ndarray, DocumentColumns, DocumentColumns]:
+    """``(copies, primary, terms)``: ``copies[g, d]`` is how often group g
+    holds distinct document d (told apart by value; hashed once per object,
+    not per copy).  One ``Counter`` of d's tokens gives ``primary``, 1 per
+    keyword of its primary keyword set, and ``terms``, its occurrences of
+    each keyword.  Tokens outside ``vocab`` have no column."""
+    flat = list(chain.from_iterable(groups))
+    objects = dict(zip(map(id, flat), flat))  # one entry per distinct object
+    distinct: dict[Document, int] = {}
+    slot_of = {key: distinct.setdefault(doc, len(distinct)) for key, doc in objects.items()}
+    slots = np.fromiter(map(slot_of.__getitem__, map(id, flat)), np.intp, len(flat))
+    group = np.repeat(np.arange(len(groups)), [len(docs) for docs in groups])
+    cells = group * len(distinct) + slots
+    copies = np.bincount(cells, minlength=len(groups) * len(distinct))
+    index = vocab._index
+    primary, terms = ([], [], []), ([], [], [])
+    for d, doc in enumerate(distinct):
+        counts = Counter(doc.tokens)
+        top = [j for j in map(index.get, _top_k(counts, k)) if j is not None]
+        known = counts.keys() & index.keys()
+        primary[0].extend([d] * len(top))
+        primary[1].extend(top)
+        primary[2].extend([1] * len(top))
+        terms[0].extend([d] * len(known))
+        terms[1].extend(map(index.get, known))
+        terms[2].extend(map(counts.get, known))
+    return (
+        copies.reshape(len(groups), len(distinct)),
+        DocumentColumns(*primary, len(vocab)),
+        DocumentColumns(*terms, len(vocab)),
+    )
 
 
 def document_frequency(docs: Sequence[Document], vocab: VocabularyIndex) -> np.ndarray:
     """Entry j = number of documents containing keyword j at least once."""
-    df = np.zeros(len(vocab), dtype=np.int64)
-    for doc in docs:
-        for token in set(doc.tokens):
-            j = vocab.index_of(token)
-            if j is not None:
-                df[j] += 1
-    return df
+    copies, _, terms = document_columns([docs], vocab)
+    return np.bincount(terms.col, copies[0][terms.doc], len(vocab)).astype(np.int64)

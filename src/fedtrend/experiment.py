@@ -122,7 +122,7 @@ def build_vocabulary(
     if oov == "drop" or len(idf_table) == 0:
         return idf_table
     known = set(idf_table.keywords)
-    extra = sorted({t for doc in documents for t in doc.tokens} - known)
+    extra = sorted(set().union(*(doc.tokens for doc in documents)) - known)
     if not extra:
         return idf_table
     max_idf = float(idf_table.idf.max())
@@ -146,7 +146,7 @@ def sample_user_documents(
     for _ in range(n_users):
         m = int(rng.integers(1, size + 1))
         picks = rng.integers(0, size, size=m)
-        assignments.append([documents[int(i)] for i in picks])
+        assignments.append([documents[i] for i in picks.tolist()])
     return assignments
 
 
@@ -156,22 +156,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     stopwords = corpus.load_stopwords(cfg.stopword_path)
     pre_cfg = corpus.PreprocessConfig(stopwords=stopwords, lemmatize=cfg.lemmatize)
     try:
-        documents = [
-            corpus.preprocess(doc, pre_cfg)
-            for doc in corpus.load_corpus(cfg.corpus_path, cfg.corpus_format)
-        ]
+        documents = corpus.preprocess_corpus(
+            corpus.load_corpus(cfg.corpus_path, cfg.corpus_format), pre_cfg
+        )
         idf_table = corpus.load_idf_table(cfg.idf_path)
     except corpus.CorpusFormatError as exc:
         raise ConfigError(str(exc)) from exc
     vocab = build_vocabulary(idf_table, documents, oov=cfg.oov)
-
     prior = bayes.compute_prior(vocab)
 
     # The sampling stream is separated from the per-round protocol streams
     # by the extra entropy word.
     sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 1)))
     user_docs = sample_user_documents(documents, cfg.n_users, sample_rng)
-    likelihoods = bayes.local_likelihoods(user_docs, vocab, k=cfg.k, alpha0=cfg.alpha0)
+    copies, primary, terms = corpus.document_columns(user_docs, vocab, cfg.k)
+    likelihoods = bayes.column_likelihoods(primary, copies, cfg.alpha0)
+    term_totals = terms.weighted_sum(copies.sum(axis=0))
+    del copies, primary, terms  # only their sums live through the rounds
     secrets = [lk.values for lk in likelihoods]
 
     round_cfg = cfg.round_config()
@@ -198,8 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     posteriors = bayes.rank_rounds(aggregates, *scoring)
     oracle = bayes.rank_rounds([exact] * cfg.rounds, *scoring)[-1]
 
-    pooled_docs = [doc for docs in user_docs for doc in docs]
-    count_ranking = baselines.rank_by_total_count(pooled_docs, vocab)
+    count_ranking = baselines.rank_by_term_totals(term_totals, vocab)
     tops = [
         top
         for lk in likelihoods
@@ -254,20 +254,21 @@ def _fmt(x: float) -> str:
 
 def rankings_csv(vocab: corpus.VocabularyIndex, ranking: bayes.PosteriorRanking) -> str:
     """``keyword,score,rank`` lines in rank order, 17-significant-digit scores."""
+    keywords, scores = vocab.keywords, memoryview(ranking.scores)  # items are floats
     lines = ["keyword,score,rank"]
     for rank, j in enumerate(ranking.order, start=1):
-        lines.append(f"{vocab.keywords[j]},{_fmt(ranking.scores[j])},{rank}")
+        lines.append(f"{keywords[j]},{_fmt(scores[j])},{rank}")
     return "\n".join(lines) + "\n"
 
 
 def rankings_markdown(result: ExperimentResult) -> str:
     """Markdown table mirroring the evaluation table layout: keyword, total
     count, IDF, and the three baseline rankings, plus the posterior rank."""
-    vocab = result.vocab
-    idf_order = sorted(
-        range(len(vocab)), key=lambda j: (-vocab.idf[j], vocab.keywords[j])
-    )
-    idf_rank = {vocab.keywords[j]: pos for pos, j in enumerate(idf_order, start=1)}
+    keywords, idf = result.vocab.keywords, memoryview(result.vocab.idf)  # items are floats
+    idf_order = sorted(range(len(keywords)), key=lambda j: (-idf[j], keywords[j]))
+    idf_rank = dict(zip(idf_order, range(1, len(idf_order) + 1)))
+    counts, count_ranks = result.count_ranking.counts, result.count_ranking.ranks
+    pooled_ranks = result.pooled_ranking.ranks
     header = (
         "| keyword | total count | idf | idf rank | count rank "
         "| pooled-trend rank | posterior rank |"
@@ -275,12 +276,11 @@ def rankings_markdown(result: ExperimentResult) -> str:
     sep = "|---|---|---|---|---|---|---|"
     rows = [header, sep]
     for rank, j in enumerate(result.posterior.order, start=1):
-        kw = vocab.keywords[j]
-        pooled = result.pooled_ranking.ranks.get(kw, "")
+        kw = keywords[j]
         rows.append(
-            f"| {kw} | {result.count_ranking.counts.get(kw, 0)} | {vocab.idf[j]:g} "
-            f"| {idf_rank[kw]} | {result.count_ranking.ranks.get(kw, '')} "
-            f"| {pooled} | {rank} |"
+            f"| {kw} | {counts.get(kw, 0)} | {idf[j]:g} "
+            f"| {idf_rank[j]} | {count_ranks.get(kw, '')} "
+            f"| {pooled_ranks.get(kw, '')} | {rank} |"
         )
     return "\n".join(rows) + "\n"
 

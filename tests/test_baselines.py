@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,32 @@ def test_total_count_additive_over_multisets():
     separate1 = rank_by_total_count([d1], vocab).counts
     separate2 = rank_by_total_count([d2], vocab).counts
     assert combined == {k: separate1[k] + separate2[k] for k in combined}
+
+
+# Documents 0 and 1 share an id but not their tokens, document 2 holds an
+# out-of-vocabulary token, and document 3 is another object equal to 0.
+COUNT_POOL = (
+    Document(id="0", raw_text="", tokens=("a", "b", "a", "c")),
+    Document(id="0", raw_text="", tokens=("d", "d")),
+    Document(id="1", raw_text="", tokens=("b", "zz", "c", "c")),
+    Document(id="0", raw_text="", tokens=("a", "b", "a", "c")),
+    Document(id="2", raw_text="", tokens=()),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, len(COUNT_POOL) - 1), max_size=30))
+def test_total_count_matches_a_counter_over_pooled_copies(picks):
+    vocab = VocabularyIndex(["d", "c", "b", "a", "e"], [1.0] * 5)
+    pooled = [COUNT_POOL[i] for i in picks]
+    tokens = Counter(token for doc in pooled for token in doc.tokens)
+    expected = {kw: tokens[kw] for kw in vocab.keywords}
+    order = tuple(sorted(expected, key=lambda kw: (-expected[kw], kw)))
+    ranking = rank_by_total_count(pooled, vocab)
+    assert ranking.counts == expected
+    assert all(type(count) is int for count in ranking.counts.values())
+    assert ranking.order == order
+    assert ranking.ranks == {kw: rank for rank, kw in enumerate(order, start=1)}
 
 
 # ---------------------------------------------------------------------------

@@ -152,25 +152,30 @@ def _reference_likelihood(docs, vocab, k, alpha0):
 
 
 # Documents 0 and 1 share an id but not their tokens; document 3 has no
-# in-vocabulary keyword and document 4 no tokens at all.
+# in-vocabulary keyword and document 4 no tokens at all.  Document 5 is
+# another object equal to document 0 in value, and document 6 carries
+# document 0's tokens under another id.
 LIKELIHOOD_POOL = (
     Document(id="7", raw_text="", tokens=("a", "a", "b", "c")),
     Document(id="7", raw_text="", tokens=("d", "e", "e")),
     Document(id="8", raw_text="", tokens=("b", "c", "f", "zz")),
     Document(id="9", raw_text="", tokens=("yy", "zz")),
     Document(id="10", raw_text="", tokens=()),
+    Document(id="7", raw_text="", tokens=("a", "a", "b", "c")),
+    Document(id="11", raw_text="", tokens=("a", "a", "b", "c")),
 )
 
 
 @settings(max_examples=200)
 @example(users=[[0, 0, 1], [2, 0, 2, 1], [3, 3], []], alpha0=0.5)
+@example(users=[[0, 5, 6], [5, 1, 6, 6]], alpha0=0.1)
 @given(
     users=st.lists(
         st.lists(st.integers(0, len(LIKELIHOOD_POOL) - 1), max_size=8),
         min_size=1,
         max_size=6,
     ),
-    alpha0=st.sampled_from([0.0, 0.5, 3.0]),
+    alpha0=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
 )
 def test_local_likelihoods_match_per_user_loop(users, alpha0):
     vocab = vocab_of(*((k, 1.0) for k in "abcdef"))

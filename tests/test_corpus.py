@@ -13,12 +13,14 @@ from fedtrend.corpus import (
     Document,
     PreprocessConfig,
     VocabularyIndex,
+    document_columns,
     document_frequency,
     lemmatize,
     load_corpus,
     load_idf_table,
     load_stopwords,
     preprocess,
+    preprocess_corpus,
     primary_keyword_set,
     tokenize,
 )
@@ -195,6 +197,51 @@ def test_tokenize_matches_per_character_rule(text):
     assert tokenize(text) == tuple(t for t in chunks if t)
 
 
+# Texts whose punctuation differs from document to document, final sigmas,
+# and chunks that are only hyphens or only punctuation.
+TRICKY_TEXTS = st.sampled_from(
+    [
+        "ΟΔΟΣ ΟΔΟΣ. Σ",
+        "-- --- a-b -c- ?! ¿¡ …",
+        "Uses of plants' xylem; the so-called (victim-offender) mediation!",
+        "don't «quote» ‘single’ a_b ۔ · carries",
+        "",
+        "   ",
+    ]
+)
+# "use" is a stopword only after lemmatizing "uses"
+CORPUS_STOPWORDS = frozenset({"a", "the", "of", "use", "b"})
+
+
+def _reference_preprocess(text, cfg):
+    chunks = (_reference_clean_chunk(c) for c in text.lower().split())
+    tokens = [t for t in chunks if t and t not in cfg.stopwords]
+    if cfg.lemmatize:
+        tokens = [lemmatize(t) for t in tokens]
+        tokens = [t for t in tokens if t not in cfg.stopwords]
+    return tuple(tokens)
+
+
+@settings(max_examples=200)
+@given(
+    texts=st.lists(st.one_of(st.text(max_size=40), PUNCTUATED_TEXT, TRICKY_TEXTS), max_size=6),
+    lemmatize_tokens=st.booleans(),
+)
+def test_preprocess_corpus_matches_the_per_document_rule(texts, lemmatize_tokens):
+    cfg = PreprocessConfig(stopwords=CORPUS_STOPWORDS, lemmatize=lemmatize_tokens)
+    docs = [Document(id=str(i), raw_text=text) for i, text in enumerate(texts)]
+    done = preprocess_corpus(docs, cfg)
+    assert [d.tokens for d in done] == [_reference_preprocess(t, cfg) for t in texts]
+    assert [(d.id, d.raw_text) for d in done] == [(d.id, d.raw_text) for d in docs]
+    assert done == [preprocess(d, cfg) for d in docs]
+
+
+def test_preprocess_corpus_keeps_final_sigma_per_document():
+    docs = [Document(id="0", raw_text="ΟΔΟΣ"), Document(id="1", raw_text="ΣΑ")]
+    done = preprocess_corpus(docs, IDENTITY_CFG)
+    assert [d.tokens for d in done] == [("οδος",), ("σα",)]
+
+
 # ---------------------------------------------------------------------------
 # primary keyword sets
 # ---------------------------------------------------------------------------
@@ -246,6 +293,49 @@ def test_pks_permutation_invariant(tokens, k, rnd):
     pks = primary_keyword_set(doc, k)
     assert len(pks) <= k
     assert pks <= set(tokens)
+
+
+# ---------------------------------------------------------------------------
+# document columns
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(
+    token_lists=st.lists(st.lists(st.sampled_from("abcdefz"), max_size=12), max_size=5),
+    k=st.integers(min_value=1, max_value=4),
+)
+def test_document_columns_match_primary_keyword_sets_and_counts(token_lists, k):
+    vocab = VocabularyIndex(list("fedcba"), [1.0] * 6)  # "z" is out of vocabulary
+    docs = [Document(id=str(i), raw_text="", tokens=tuple(t)) for i, t in enumerate(token_lists)]
+    copies, primary, terms = document_columns([docs], vocab, k)
+    assert copies.tolist() == [[1] * len(docs)]
+    for d, doc in enumerate(docs):
+        two_copies = np.zeros(len(docs), dtype=np.int64)
+        two_copies[d] = 2
+        expected_primary = np.zeros(len(vocab))
+        for keyword in primary_keyword_set(doc, k) & set(vocab.keywords):
+            expected_primary[vocab.index_of(keyword)] = 2
+        assert np.array_equal(primary.weighted_sum(two_copies), expected_primary)
+        expected_terms = np.zeros(len(vocab))
+        for token, n in Counter(doc.tokens).items():
+            if token in vocab:
+                expected_terms[vocab.index_of(token)] = 2 * n
+        assert np.array_equal(terms.weighted_sum(two_copies), expected_terms)
+
+
+def test_document_columns_tell_documents_apart_by_value():
+    a = Document(id="1", raw_text="", tokens=("x",))
+    a_again = Document(id="1", raw_text="", tokens=("x",))  # another object, equal value
+    b = Document(id="1", raw_text="", tokens=("y",))  # same id, other tokens
+    vocab = VocabularyIndex(["x", "y"], [1.0, 1.0])
+    copies, primary, terms = document_columns([[a, b, a_again], [], [b, b]], vocab, 1)
+    assert copies.tolist() == [[2, 1], [0, 0], [0, 2]]
+    assert primary.weighted_sum(np.array([1, 0])).tolist() == [1.0, 0.0]
+    assert terms.weighted_sum(np.array([0, 3])).tolist() == [0.0, 3.0]
+    copies, primary, _ = document_columns([], vocab, 1)
+    assert copies.shape == (0, 0)
+    assert primary.weighted_sum(copies.sum(axis=0)).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +405,14 @@ def test_idf_table_bad_number(tmp_path):
     path = tmp_path / "idf.tsv"
     path.write_text("alpha\tnot-a-number\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 1"):
+        load_idf_table(path)
+
+
+@pytest.mark.parametrize("table", ["", "alpha\t0\nbeta\t0\n"], ids=["empty", "all-zero"])
+def test_idf_table_without_weight_is_rejected(tmp_path, table):
+    path = tmp_path / "idf.tsv"
+    path.write_text(table, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="degenerate prior"):
         load_idf_table(path)
 
 

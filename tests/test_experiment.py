@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import tracemalloc
@@ -793,3 +794,48 @@ def test_cli_edited_vector_files_end_in_a_documented_exit_code(tmp_path, capsys,
     rank = ["rank", "--likelihoods", str(vectors), "--idf", str(idf), "--out", out]
     assert cli.main(rank) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["", "alpha\t0\nbeta\t0\n"], ids=["empty", "all-zero"])
+@pytest.mark.parametrize("command", ["run", "check", "rank"])
+def test_cli_degenerate_idf_table_is_a_config_error(tmp_path, capsys, command, table):
+    idf = tmp_path / "idf.tsv"
+    idf.write_text(table, encoding="utf-8")
+    if command == "rank":
+        likelihoods = tmp_path / "lk.jsonl"
+        likelihoods.write_text(json.dumps({"values": [0.5, 0.5]}) + "\n", encoding="utf-8")
+        argv = ["rank", "--likelihoods", str(likelihoods)]
+    else:
+        argv = [command, "--seed", "0"]
+    argv += ["--idf", str(idf)] + (["--out", str(tmp_path / "out")] if command != "check" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {idf}: degenerate prior")
+    assert not (tmp_path / "out").exists()
+
+
+# sha256 of the files that `fedtrend run` wrote for each argv before the
+# document layer became per-document columns; any change to tokenizing,
+# sampling, likelihoods, rounds, ranking or formatting moves them.
+GOLDEN_RUNS = {
+    ("--users", "12", "--seed", "3"): {
+        "rankings.csv": "083e953a65cb76b3f3a5298adeaa9676dac30889908f77032ef7f044e89dde1d",
+        "rankings.md": "601c464732403ec6f4eed81e36774a1a56dcbbeeec2f4a46f6876518bf2aea09",
+        "transcript.jsonl": "ec324564aefcc628dbc4cdb8fef9edae605bfd06119c09a54050ece9e366ffb7",
+    },
+    ("--users", "45", "--k", "3", "--oov", "max", "--seed", "1"): {
+        "rankings.csv": "ee987a1bd82124f2c8207eb5a1422c77e4f23159941de87f98c41f4e4c6d3468",
+        "rankings.md": "053a9419e4e0c370697b37033cb91abd004dd8ed38aff05b0788e24af189e34a",
+        "transcript.jsonl": "a59fc339762364eb932e3e62ff21293c39a3cb4e01ac5a87596e87f9bd30d659",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_RUNS), ids=" ".join)
+def test_cli_run_writes_the_golden_bytes(tmp_path, capsys, argv):
+    assert cli.main(["run", *argv, "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_RUNS[argv]
+    }
+    assert digests == GOLDEN_RUNS[argv]
