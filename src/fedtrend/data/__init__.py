@@ -1,11 +1,10 @@
 """Bundled default data files: stopword list, IDF table, evaluation corpus."""
 
-from importlib.resources import files
 from pathlib import Path
 
 
 def _resolve(name: str) -> Path:
-    return Path(str(files(__package__).joinpath(name)))
+    return Path(__file__).with_name(name)
 
 
 def stopwords_path() -> Path:

@@ -17,6 +17,10 @@ messages that one misbehaving user changes.
 ``write_transcript`` saves a transcript, every delivered message in order,
 as JSON Lines, with each payload written as the base64 text of its d
 little-endian doubles: exact for every double, at one C call per message.
+A round's lines are bytes made straight from its seeds, with no
+``Message``: ``round_robin`` reaches each sender's rows in order, so a
+block is drawn a few rows at a time and ``run`` writes in O(N·d) memory;
+``seeded_shuffle`` may send any share first, so it draws whole blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,6 +175,26 @@ def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
     return users, deliver
 
 
+# Share rows the round-robin writer holds over all senders: up to N = 22 a
+# sender's block is one draw, at N = 200 a draw is two rows.
+_ROW_BUDGET = 512
+
+
+@dataclass(frozen=True)
+class _RoundPart:
+    """A round's messages, drawn again from its seeds on every call:
+    ``sends()`` yields (sender, receiver, kind, payload) in send order, node
+    k being ``names[k]``; calling the part yields them as ``Message``s."""
+
+    round: int
+    names: tuple[str, ...]
+    sends: Callable[[], Iterator[tuple]]
+
+    def __call__(self) -> Iterator[Message]:
+        for i, k, kind, payload in self.sends():
+            yield Message(self.round, self.names[i], self.names[k], kind, payload)
+
+
 def run_round(
     secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
 ) -> tuple[FeatureVector, Transcript]:
@@ -191,24 +215,35 @@ def run_round(
     obfuscated.setflags(write=False)
     result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
 
-    def messages():  # the blocks drawn again from the seeds; residuals stay unsent
-        *rngs, deliver = [np.random.default_rng(seed) for seed in (*seeds, deliver_seed)]
-        blocks = [np.ldexp(secagg.share_steps(rng, (n, d), share_range, f), -f)
-                  for rng in rngs]
-        for block in blocks:
-            block.setflags(write=False)
+    def sends():  # the shares drawn again from the seeds
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        deliver = np.random.default_rng(deliver_seed)
+        rows = n if cfg.delivery == "seeded_shuffle" else max(1, _ROW_BUDGET // n)
+        held = [(0, ())] * n  # per sender: index of its first held row, and the rows
+
+        def share(i, k):  # round robin asks each sender's rows in order, a shuffle any
+            start, block = held[i]
+            while k >= start + len(block):  # the owner's own row is drawn, never sent
+                start += len(block)
+                steps = secagg.share_steps(rngs[i], (min(rows, n - start), d), share_range, f)
+                block = np.ldexp(steps, -f)
+                block.setflags(write=False)
+                held[i] = start, block
+            return block[k - start]
+
         peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
-        shares, r = _schedule(peers, cfg.delivery, deliver), round_index
+        shares = _schedule(peers, cfg.delivery, deliver)
         for i, k in shares:
-            yield Message(r, str(i), str(k), MessageKind.SHARE, blocks[i][k])
+            yield i, k, MessageKind.SHARE, share(i, k)
         # a user's obfuscated vector leaves when her last share arrives
         arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
         for k in _schedule([[k] for k in arrived], cfg.delivery, deliver):
-            yield Message(r, str(k), AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k])
+            yield k, n, MessageKind.OBFUSCATED, obfuscated[k]
         for k in _schedule([[k] for k in range(n)], cfg.delivery, deliver):
-            yield Message(r, AGGREGATOR_ID, str(k), MessageKind.AGGREGATE, result.values)
+            yield n, k, MessageKind.AGGREGATE, result.values
 
-    return result, Transcript(n, d, share_range, cfg.seed, None, (messages,))
+    part = _RoundPart(round_index, (*map(str, range(n)), AGGREGATOR_ID), sends)
+    return result, Transcript(n, d, share_range, cfg.seed, None, (part,))
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +378,10 @@ def transcript_privacy_check(
 # ---------------------------------------------------------------------------
 
 
-def _format_payload(values: np.ndarray) -> str:
+def _format_payload(values: np.ndarray) -> bytes:
     """Base64 of the payload's doubles, little-endian: exact for every double."""
     raw = np.ascontiguousarray(values, dtype="<f8")
-    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+    return binascii.b2a_base64(raw, newline=False)
 
 
 def _parse_payload(payload, dim: int) -> np.ndarray:
@@ -368,7 +403,11 @@ def _parse_payload(payload, dim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8")
 
 
-def _jsonl_lines(transcript: Transcript) -> Iterator[str]:
+_LINE = b'{"round": %d, "from": %s, "to": %s, "kind": %s, "payload": "%s"}\n'
+_KINDS = {kind: json.dumps(kind.value).encode() for kind in MessageKind}
+
+
+def _jsonl_lines(transcript: Transcript) -> Iterator[bytes]:
     yield json.dumps(
         {
             "N": transcript.n_users,
@@ -376,15 +415,20 @@ def _jsonl_lines(transcript: Transcript) -> Iterator[str]:
             "D": transcript.share_range,
             "seed": transcript.seed,
         }
-    ) + "\n"
-    for msg in (m for part in transcript.parts for m in part()):
-        yield '{"round": %d, "from": %s, "to": %s, "kind": %s, "payload": "%s"}\n' % (
-            msg.round,
-            json.dumps(msg.sender),
-            json.dumps(msg.receiver),
-            json.dumps(msg.kind.value),
-            _format_payload(msg.payload),
-        )
+    ).encode() + b"\n"
+    last = text = None
+    for part in transcript.parts:
+        if isinstance(part, _RoundPart):  # each node's name quoted once
+            names = [json.dumps(name).encode() for name in part.names]
+            fields = ((part.round, names[i], names[k], kind, payload)
+                      for i, k, kind, payload in part.sends())
+        else:
+            fields = ((m.round, json.dumps(m.sender).encode(),
+                       json.dumps(m.receiver).encode(), m.kind, m.payload) for m in part())
+        for r, sender, receiver, kind, payload in fields:
+            if payload is not last:  # a round's broadcasts carry one array
+                last, text = payload, _format_payload(payload)
+            yield _LINE % (r, sender, receiver, _KINDS[kind], text)
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
@@ -394,12 +438,14 @@ def transcript_to_jsonl(transcript: Transcript) -> str:
     bytes, which round-trips every double exactly (-0.0, infinities, NaN
     and subnormals included).
     """
-    return "".join(_jsonl_lines(transcript))
+    return b"".join(_jsonl_lines(transcript)).decode("ascii")
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
-    """Write ``transcript_to_jsonl(transcript)`` to ``path``, line by line."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write ``transcript_to_jsonl(transcript)`` to ``path``, line by line,
+    drawing each round's shares again: a few rows of each block at a time
+    under ``round_robin``, all N blocks under ``seeded_shuffle``."""
+    with open(path, "wb", buffering=1 << 16) as handle:  # a write call per ~8 lines at d = 699
         handle.writelines(_jsonl_lines(transcript))
 
 

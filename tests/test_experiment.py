@@ -346,8 +346,11 @@ def _messages_built(monkeypatch, argv) -> int:
 def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
     argv = ["--users", "20", "--rounds", "2", "--seed", "0"]
     assert _messages_built(monkeypatch, ["check", *argv]) == 0
+    # run writes its transcript's lines straight from the rounds' seeds
     run = ["run", *argv, "--out", str(tmp_path / "out")]
-    assert _messages_built(monkeypatch, run) == 2 * (20 * 20 + 20)
+    assert _messages_built(monkeypatch, run) == 0
+    lines = (tmp_path / "out" / "transcript.jsonl").read_bytes().splitlines()
+    assert len(lines) == 1 + 2 * (20 * 20 + 20)
 
 
 def _kept_bytes(n_users: int, rounds: int) -> tuple[int, int]:
@@ -828,6 +831,17 @@ GOLDEN_RUNS = {
         "rankings.md": "053a9419e4e0c370697b37033cb91abd004dd8ed38aff05b0788e24af189e34a",
         "transcript.jsonl": "a59fc339762364eb932e3e62ff21293c39a3cb4e01ac5a87596e87f9bd30d659",
     },
+    # computed before the transcript writer streamed bytes from the seeds
+    ("--users", "12", "--seed", "3", "--rounds", "2", "--delivery", "seeded_shuffle"): {
+        "rankings.csv": "43ccf012e2a5af8594f2d84b9d8e3a0feb041c13ea29723b15e0e58f277378da",
+        "rankings.md": "4dd73eb7cde19f35f9d624d85a68581ff7b84bf9676333eeed710c8b9765cee3",
+        "transcript.jsonl": "ef22195123b88cd79a2562c91cff2db2b6de1cf936e00da5a11b56292ce9d837",
+    },
+    ("--users", "1", "--seed", "0"): {
+        "rankings.csv": "019850806d3e3c77125e1a79eb945ad773f6e5dfb43c7a2d737b540e63996d3a",
+        "rankings.md": "6fdcf42d131092f6d24d48bfe64277afc662591c0445f0ec8ed461a97732869e",
+        "transcript.jsonl": "94d8a5f48820c96c1e85abdd18e9f90f8472660b157aaf4961ee01705063fbee",
+    },
 }
 
 
@@ -839,3 +853,32 @@ def test_cli_run_writes_the_golden_bytes(tmp_path, capsys, argv):
         for name in GOLDEN_RUNS[argv]
     }
     assert digests == GOLDEN_RUNS[argv]
+
+
+# sha256 of what `fedtrend aggregate` writes for the two vectors
+# [0.2, 0.4] and [0.3, 0.1] at seed 0, computed before the transcript writer
+# streamed bytes from the seeds
+GOLDEN_AGGREGATES = {
+    "round_robin": "666303c6c49f8075066fe4b3201ab59651617094af8d45f9902dcace73a09f4a",
+    "seeded_shuffle": "83758c59c1bd3e23243eea6c0b92951754bfe5962ce98a6ab96809c16578d1ea",
+}
+
+
+@pytest.mark.parametrize("delivery", list(GOLDEN_AGGREGATES))
+def test_cli_aggregate_writes_the_golden_bytes(tmp_path, capsys, delivery):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(
+        '{"id": "u0", "values": [0.2, 0.4]}\n{"id": "u1", "values": [0.3, 0.1]}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "agg"
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--delivery", delivery]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("aggregate.csv", "transcript.jsonl")
+    }
+    assert digests == {
+        "aggregate.csv": "953b69f46918baaeca77d6ad9c4763a1c001791ac64a00fdf11cfcc0f9034e0c",
+        "transcript.jsonl": GOLDEN_AGGREGATES[delivery],
+    }

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedtrend import netsim
 from fedtrend.netsim import (
     AGGREGATOR_ID,
     DELIVERIES,
@@ -163,6 +164,16 @@ def test_engine_delivers_what_the_reference_delivers(delivery, n, round_index):
     assert len(transcript.messages) == n * n + n
 
 
+@pytest.mark.parametrize("row_budget", [1, 20, 30, 70])
+def test_engine_draws_the_same_shares_in_any_row_chunks(monkeypatch, row_budget):
+    # round robin draws each sender's block 1, 2, 3 or 7 rows at a time at
+    # N = 10; a chunk can hold only the owner's row, which is never sent
+    monkeypatch.setattr(netsim, "_ROW_BUDGET", row_budget)
+    secrets = random_secrets(10, 7, seed=3)
+    (_, transcript), (_, ref_transcript) = _both_paths(secrets, RoundConfig(seed=5), 0)
+    assert transcript_to_jsonl(transcript) == transcript_to_jsonl(ref_transcript)
+
+
 def test_engine_keeps_a_lone_users_signed_zero():
     # -1e-300 encodes to -0.0; a sum started from zeros would give +0.0
     secrets = [fv(-1e-300, 0.5, bounds=(-1.0, 1.0))]
@@ -286,6 +297,21 @@ def test_run_round_peak_memory_is_linear_in_users():
         tracemalloc.stop()
     # one user's block of shares is N·d; all N blocks at once would be 80x that
     assert peak < 10 * n * d * 8
+
+
+def test_write_transcript_peak_memory_is_linear_in_users(tmp_path):
+    n, d = 60, 200
+    _, transcript = run_round(random_secrets(n, d, seed=9), RoundConfig(seed=9))
+    path = tmp_path / "transcript.jsonl"
+    write_transcript(transcript, path)  # warm numpy's and the rngs' caches
+    tracemalloc.start()
+    try:
+        write_transcript(transcript, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # round robin holds a few rows of each sender's block, not all N blocks
+    assert peak < n * n * d * 8 / 4
 
 
 # ---------------------------------------------------------------------------

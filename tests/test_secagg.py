@@ -20,6 +20,7 @@ from fedtrend.secagg import (
     make_shares,
     ordered_sum,
     seeded_rng,
+    share_steps,
     validate_aggregate,
 )
 
@@ -125,6 +126,27 @@ def test_shares_deterministic_for_fixed_seed():
     a = make_shares(v, 3, 100.0, rng=seeded_rng(42), owner=0)
     b = make_shares(v, 3, 100.0, rng=seeded_rng(42), owner=0)
     assert a.shares.tobytes() == b.shares.tobytes()
+
+
+# ranges of fewer and more than 2**32 values, through numpy's 32- and 64-bit
+# bounded paths; the last is the default round's width, 100 * 2**39
+@pytest.mark.parametrize(
+    "width", [1000, 2**31, 2**32 - 1, 2**32, 2**33, 2**40, 100 * 2**39]
+)
+def test_share_steps_drawn_in_row_chunks_are_one_draw(width):
+    # the round-robin transcript writer draws a block a chunk of rows at a
+    # time; that must be the stream of one (n, d) draw, which numpy's
+    # generator gives but does not document
+    for d in (1, 3, 4, 699):
+        for n in (2, 5, 10):
+            whole = share_steps(np.random.default_rng(width + n * d), (n, d), width, 0)
+            for rows in (1, 2, 3):
+                rng = np.random.default_rng(width + n * d)
+                chunks = [
+                    share_steps(rng, (min(rows, n - start), d), width, 0)
+                    for start in range(0, n, rows)
+                ]
+                assert np.array_equal(np.concatenate(chunks), whole), (d, n, rows)
 
 
 def test_make_shares_rejects_nonfinite():
