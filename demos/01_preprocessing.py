@@ -21,7 +21,7 @@ print("top-5 keywords:", sorted(corpus.primary_keyword_set(doc, 5)))
 vocab = corpus.load_idf_table(data.idf_table_path())
 print(f"\nvocabulary: {len(vocab)} terms with IDF weights")
 
-df = corpus.document_frequency(docs, vocab)
 for term in ("phloem", "xylem", "manhattan", "costa", "offender"):
+    df = sum(term in doc.tokens for doc in docs)
     j = vocab.index_of(term)
-    print(f"  {term:10s} appears in {df[j]:2d} documents, idf {vocab.idf[j]:.4f}")
+    print(f"  {term:10s} appears in {df:2d} documents, idf {vocab.idf[j]:.4f}")

@@ -22,7 +22,8 @@ for k in range(1, n_users):
 total = secagg.ordered_sum(shares.shares)
 print("\nsum of shares: ", total)
 print("max |error|:   ", np.max(np.abs(total - secret.values)))
-print("== encoded:    ", np.array_equal(total, secagg.encode(secret, n_users, share_range)))
+f = secagg.grid_bits(n_users, share_range, secret.bounds)
+print("== encoded:    ", np.array_equal(total, secagg.encode(secret.values, secret.bounds, f)))
 
 # the only error is the one rounding onto the grid, at most 2^-(f+1)
 errors = []

@@ -102,7 +102,9 @@ def _load_vectors(
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad vector record ({exc})")
             where = f"{path}: line {lineno}: record {record_id!r}"
-            try:
+            try:  # np.asarray would read "0.5" and true as numbers
+                if isinstance(raw, list) and any(isinstance(x, (str, bool)) for x in raw):
+                    raise TypeError("a string or boolean entry")
                 values = np.asarray(raw, dtype=np.float64)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{where}: values are not numbers ({exc})")
@@ -190,7 +192,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     vocab = corpus.load_idf_table(args.idf)
     if any(v.shape[0] != len(vocab) for _, v in vectors):
         raise ConfigError("likelihood vectors do not match the vocabulary size")
-    total = secagg.exact_sum([v for _, v in vectors])
+    secrets = [secagg.FeatureVector(values=v) for _, v in vectors]
+    total = secagg.encoded_sum(secrets, secagg.DEFAULT_SHARE_RANGE)
     prior = bayes.compute_prior(vocab)
     ranking = bayes.rank_rounds([total], prior, len(vectors), args.agg)[0]
     out = Path(args.out)

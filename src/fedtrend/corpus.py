@@ -28,7 +28,6 @@ __all__ = [
     "VocabularyIndex",
     "default_preprocess_config",
     "document_columns",
-    "document_frequency",
     "lemmatize",
     "load_corpus",
     "load_idf_table",
@@ -346,9 +345,3 @@ def document_columns(
         DocumentColumns(*primary, len(vocab)),
         DocumentColumns(*terms, len(vocab)),
     )
-
-
-def document_frequency(docs: Sequence[Document], vocab: VocabularyIndex) -> np.ndarray:
-    """Entry j = number of documents containing keyword j at least once."""
-    copies, _, terms = document_columns([docs], vocab)
-    return np.bincount(terms.col, copies[0][terms.doc], len(vocab)).astype(np.int64)

@@ -189,12 +189,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             aggregate, cfg.n_users, secrets[0].bounds
         )
         aggregates.append(aggregate.values)
-    # The oracle takes the same belief updates on the share-free aggregate:
-    # the exact sum of the same encoded likelihoods, which an honest round's
-    # aggregate equals bit for bit.
-    exact = secagg.exact_sum(
-        [secagg.encode(s, cfg.n_users, cfg.share_range) for s in secrets]
-    )
+    # the oracle takes the same belief updates on the aggregate without shares
+    exact = secagg.encoded_sum(secrets, cfg.share_range)
     scoring = (prior, cfg.n_users, cfg.aggregation, cfg.score_resolution)
     posteriors = bayes.rank_rounds(aggregates, *scoring)
     oracle = bayes.rank_rounds([exact] * cfg.rounds, *scoring)[-1]

@@ -147,8 +147,8 @@ def _schedule(batches: list[list], delivery: str, rng) -> list:
 
 
 def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
-    """The ``SeedSequence``s of a round's N users over ``secrets``, and the
-    one of its delivery order.
+    """The ``SeedSequence``s of a round's N users over ``secrets``, the one
+    of its delivery order, and the bits f of its grid.
 
     The one check of a round's inputs: ``ValueError`` unless there is at
     least one user, the secrets share one dimension d >= 1 and one pair of
@@ -170,9 +170,9 @@ def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
         if not a <= s_low <= s_high <= b:  # NaN fails too
             raise ValueError(f"secret of user {i} violates its declared bounds")
         low, high = min(low, s_low), max(high, s_high)
-    secagg.check_grid(n, cfg.share_range, (a, b), (low, high))
+    f = secagg.check_grid(n, cfg.share_range, (a, b), (low, high))
     *users, deliver = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
-    return users, deliver
+    return users, deliver, f
 
 
 # Share rows the round-robin writer holds over all senders: up to N = 22 a
@@ -200,19 +200,18 @@ def run_round(
 ) -> tuple[FeatureVector, Transcript]:
     """Run one honest aggregation round over the users' secret vectors, in
     O(N·d) memory; ``ValueError`` for inputs that no round can take."""
-    seeds, deliver_seed = _round_seeds(secrets, cfg, round_index)
+    seeds, deliver_seed, f = _round_seeds(secrets, cfg, round_index)
     n, d, share_range = len(seeds), len(secrets[0]), cfg.share_range
-    f = secagg.grid_bits(n, share_range, secrets[0].bounds)
     net = np.zeros((n, d), dtype=np.int64)  # row k: steps received - steps sent
     for i, seed in enumerate(seeds):
         steps = secagg.share_steps(np.random.default_rng(seed), (n, d), share_range, f)
         steps[i] = 0  # the residual stays with its owner
         net += steps
         net[i] -= steps.sum(axis=0)
-    obfuscated = np.stack([secagg.encode(s, n, share_range) for s in secrets])
+    obfuscated = secagg.encode([s.values for s in secrets], secrets[0].bounds, f)
     if n > 1:  # adding +0.0 would turn a lone user's encoded -0.0 into +0.0
-        obfuscated += np.ldexp(net, -f)  # exact: every sum is below 2**53 steps
-    obfuscated.setflags(write=False)
+        obfuscated = obfuscated + np.ldexp(net, -f)  # exact: every sum is below 2**53 steps
+        obfuscated.setflags(write=False)
     result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
 
     def sends():  # the shares drawn again from the seeds
@@ -344,11 +343,13 @@ def transcript_privacy_check(
     (iii) no node other than user i ever observes user i's raw vector.  A
     raw vector counts both as given and as the round's grid encodes it.
     """
-    d = transcript.share_range
+    d, bounds = transcript.share_range, secrets[0].bounds
+    f = secagg.grid_bits(transcript.n_users, d, bounds)
+    encoded = secagg.encode([s.values for s in secrets], bounds, f)
     secret_owner = {
         _canonical_bytes(values): str(i)
         for i, s in enumerate(secrets)
-        for values in (s.values, secagg.encode(s, transcript.n_users, d))
+        for values in (s.values, encoded[i])
     }
     violations: list[tuple[int, str]] = []
     for idx, msg in enumerate(transcript.messages):

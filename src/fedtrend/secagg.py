@@ -8,20 +8,21 @@ vector.
 
 Every payload of a round lies on one dyadic grid: it is an exact double
 k * 2**-f.  ``grid_bits`` derives f from N, D and the per-user bounds (a, b)
-as the largest f with N * (2D + max(|a|, |b|)) * 2**f < 2**53, which bounds
-the encoded vector, the kept residual, the obfuscated vector and the
-aggregate.  It refuses the grids that cannot serve a round: a step above
-D, where every share would be 0 and each vector would travel unmasked, a
-step below 2**-1074, where not every grid point is a double, and a grid
-with no point inside (a, b); ``check_grid`` also refuses the grids
-that would lose what a round's secrets carry.  ``encode`` rounds a vector
-onto the grid points inside (a, b) once (an error of at most 2**-(f+1) per
-entry, or below 2**-f next to a bound off the grid); shares are uniform
-grid points in [-D, D].  Each partial sum of a user's shares is then an
-integer multiple of 2**-f below 2**53 of them, so double addition is exact
-in any order, and the correctly rounded ``exact_sum`` gives the aggregate
-exactly whatever the order of its vectors.  The aggregate equals the exact
-sum of the encoded vectors.
+as the largest f with N * (2D + max(|a|, |b|)) * 2**f < 2**53, which
+bounds the encoded vector, the kept residual, the obfuscated vector and
+the aggregate.  It refuses the grids that cannot serve a round: a step
+above D, where every share would be 0 and each vector would travel
+unmasked, a step below 2**-1074, where not every grid point is a double,
+and a grid with no point inside (a, b); ``check_grid`` also refuses the
+grids that would lose what a round's secrets carry.  A round derives f
+once, in ``check_grid`` or ``grid_bits``, and ``encode`` rounds all its
+vectors onto the grid points inside (a, b) in one call (an error of at
+most 2**-(f+1) per entry, or below 2**-f next to a bound off the grid);
+shares are uniform grid points in [-D, D].  Each partial sum of a user's
+shares is then an integer multiple of 2**-f below 2**53 of them, so double
+addition is exact in any order, and the correctly rounded ``exact_sum``
+gives the aggregate exactly whatever the order of its vectors.  The
+aggregate equals the exact sum of the encoded vectors, ``encoded_sum``.
 
 Arrays have one owner: the code that makes an array freezes it once, in
 place, and every consumer shares it by reference.  Each class that keeps
@@ -50,6 +51,7 @@ __all__ = [
     "check_grid",
     "combine_received",
     "encode",
+    "encoded_sum",
     "exact_sum",
     "frozen",
     "grid_bits",
@@ -157,11 +159,11 @@ def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> 
     raise _grid_fault(n_users, share_range, f, *fault)
 
 
-def check_grid(n_users: int, share_range: float, bounds: tuple, span: tuple) -> None:
-    """``ValueError`` unless ``grid_bits`` accepts the round's grid and the
-    grid keeps secrets whose entries span ``span``: nonzero entries do not
-    all round to the grid point nearest 0, and every entry is p where the
-    bounds hold one grid point p."""
+def check_grid(n_users: int, share_range: float, bounds: tuple, span: tuple) -> int:
+    """``grid_bits`` of the round, f; ``ValueError`` unless it accepts the
+    round's grid and the grid keeps secrets whose entries span ``span``:
+    nonzero entries do not all round to the grid point nearest 0, and every
+    entry is p where the bounds hold one grid point p."""
     (a, b), (low, high) = bounds, span
     f = grid_bits(n_users, share_range, bounds)
     first, last = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
@@ -173,20 +175,25 @@ def check_grid(n_users: int, share_range: float, bounds: tuple, span: tuple) -> 
     elif first == last and not low == high == nearest:
         fault = f"leaves one point, {nearest:g}, inside the bounds ({a:g}, {b:g})"
     else:
-        return
+        return f
     raise _grid_fault(n_users, share_range, f, "coarse", fault)
 
 
-def encode(v: FeatureVector, n_users: int, share_range: float) -> np.ndarray:
-    """``v`` rounded onto the grid of a round of ``n_users`` with share
-    range ``share_range``, read-only: what that round's shares sum to.
-    Entries round to the nearest grid point inside ``v.bounds``."""
-    a, b = v.bounds
-    f = grid_bits(n_users, share_range, (a, b))
+def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:
+    """``values``, one vector or a stack, rounded to the nearest points of
+    the grid 2**-f inside ``bounds``, read-only: what a round's shares sum to."""
+    a, b = bounds
     low, high = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
     # two ufunc calls take about half the time of np.clip's dispatch
-    steps = np.minimum(np.maximum(np.round(np.ldexp(v.values, f)), low), high)
+    steps = np.minimum(np.maximum(np.round(np.ldexp(values, f)), low), high)
     return frozen(np.ldexp(steps, -f))
+
+
+def encoded_sum(secrets: Sequence[FeatureVector], share_range: float) -> np.ndarray:
+    """The aggregate of an honest round over ``secrets`` with share range
+    ``share_range``, read-only: the exact sum of the encoded secrets."""
+    f = grid_bits(len(secrets), share_range, secrets[0].bounds)
+    return exact_sum(encode([s.values for s in secrets], secrets[0].bounds, f))
 
 
 def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -245,7 +252,7 @@ def make_shares(
 
     The ``n_users - 1`` off-diagonal shares are i.i.d. uniform grid points
     in [-share_range, share_range]; the owner's diagonal share is the
-    residual that makes the shares sum exactly to ``encode(v, ...)``.
+    residual that makes the shares sum exactly to ``v`` encoded on that grid.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -260,7 +267,7 @@ def make_shares(
     f = grid_bits(n_users, share_range, v.bounds)
     # a grid point in every row; the owner's row then becomes the residual
     shares = np.ldexp(share_steps(rng, (n_users, len(v)), share_range, f), -f)
-    shares[owner] = encode(v, n_users, share_range) - (shares.sum(axis=0) - shares[owner])
+    shares[owner] = encode(v.values, v.bounds, f) - (shares.sum(axis=0) - shares[owner])
     shares.setflags(write=False)
     return ShareSet(owner=owner, shares=shares)
 

@@ -14,7 +14,6 @@ from fedtrend.corpus import (
     PreprocessConfig,
     VocabularyIndex,
     document_columns,
-    document_frequency,
     lemmatize,
     load_corpus,
     load_idf_table,
@@ -336,39 +335,6 @@ def test_document_columns_tell_documents_apart_by_value():
     copies, primary, _ = document_columns([], vocab, 1)
     assert copies.shape == (0, 0)
     assert primary.weighted_sum(copies.sum(axis=0)).tolist() == [0.0, 0.0]
-
-
-# ---------------------------------------------------------------------------
-# document frequency
-# ---------------------------------------------------------------------------
-
-
-def test_df_no_documents(msmarco_vocab):
-    assert np.all(document_frequency([], msmarco_vocab) == 0)
-
-
-def test_df_counts_documents_not_occurrences():
-    vocab = VocabularyIndex(["costa", "rica"], [1.0, 1.0])
-    docs = [
-        Document(id="0", raw_text="", tokens=("costa", "costa", "rica")),
-        Document(id="1", raw_text="", tokens=("costa",)),
-    ]
-    df = document_frequency(docs, vocab)
-    assert df[vocab.index_of("costa")] == 2
-    assert df[vocab.index_of("rica")] == 1
-
-
-def test_df_phloem_matches_grep_oracle(msmarco_docs, msmarco_vocab):
-    raw = [d.raw_text.lower() for d in load_corpus(data.msmarco_corpus_path())]
-    expected = sum(1 for text in raw if "phloem" in text)
-    df = document_frequency(msmarco_docs, msmarco_vocab)
-    assert df[msmarco_vocab.index_of("phloem")] == expected == 9
-
-
-def test_df_bounded_by_corpus_size(msmarco_docs, msmarco_vocab):
-    df = document_frequency(msmarco_docs, msmarco_vocab)
-    assert np.all(df <= len(msmarco_docs))
-    assert np.all(df >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedtrend import baselines, cli, corpus, data, netsim
+from fedtrend import baselines, cli, corpus, data, netsim, secagg
 from fedtrend.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -353,6 +353,20 @@ def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
     assert len(lines) == 1 + 2 * (20 * 20 + 20)
 
 
+def test_cli_check_derives_one_grid_per_round(monkeypatch):
+    calls = Counter()
+    for name in ("grid_bits", "encode"):
+        def counting(*args, name=name, call=getattr(secagg, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(secagg, name, counting)
+    assert cli.main(["check", "--users", "45", "--seed", "0"]) == 0
+    # the round, the oracle's sum and the raw-sum line each derive the grid
+    # once; the round and the oracle each encode all 45 secrets in one call
+    assert calls["grid_bits"] <= 4 and calls["encode"] <= 2, calls
+
+
 def _kept_bytes(n_users: int, rounds: int) -> tuple[int, int]:
     """Traced bytes still held while a run's result lives, and its d."""
     tracemalloc.start()
@@ -627,9 +641,13 @@ def _rank_likelihoods_of(tmp_path, result, agg, reverse=False):
 
 
 @pytest.mark.parametrize("agg", ["sum", "mean"])
-@pytest.mark.parametrize("users, seed", [(10, 18), (12, 7)])
+@pytest.mark.parametrize(
+    "users, seed", [(10, 18), (12, 7), (45, 0), (45, 6), (45, 8), (45, 20)]
+)
 def test_cli_rank_writes_the_rankings_of_run(tmp_path, users, seed, agg):
-    # at N = 12, seed 7 four exactly tied keywords share ranks 68-71
+    # at N = 12, seed 7 four exactly tied keywords share ranks 68-71; at
+    # N = 45 these seeds have sums that the run's share grid moves into the
+    # next score cell
     result = run_experiment(make_experiment_config(n_users=users, seed=seed, aggregation=agg))
     expected = rankings_csv(result.vocab, result.posterior).encode("utf-8")
     assert _rank_likelihoods_of(tmp_path, result, agg) == expected
@@ -642,7 +660,9 @@ def test_cli_rank_ignores_line_order(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row, code", [([1e300, 0.4], 2), ([-0.5, 0.4], 2), ([1.5, 0], 2), ([0, 1], 0)]
+    "row, code",
+    [([1e300, 0.4], 2), ([-0.5, 0.4], 2), ([1.5, 0], 2), ([0, 1], 0),
+     (["0.5", 0.4], 2), ([True, False], 2)],
 )
 def test_cli_rank_takes_likelihoods_in_the_unit_interval_only(tmp_path, capsys, row, code):
     idf = tmp_path / "idf.tsv"
@@ -658,7 +678,9 @@ def test_cli_rank_takes_likelihoods_in_the_unit_interval_only(tmp_path, capsys, 
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     if code:
-        assert "line 2" in err and "'u1'" in err and "outside [0, 1]" in err
+        number = all(type(x) in (int, float) for x in row)
+        cause = "outside [0, 1]" if number else "values are not numbers"
+        assert "line 2" in err and "'u1'" in err and cause in err
         assert not out.exists()
     else:
         rows = (out / "rankings.csv").read_text(encoding="utf-8").splitlines()[1:]
@@ -676,7 +698,10 @@ def test_cli_aggregate_bad_vector_file(tmp_path):
 
 @pytest.mark.parametrize(
     "bad_values",
-    [[float("nan"), 0.5], [0.5, float("-inf")], 3.0, [], [int("9" * 400), 0.5]],
+    [
+        [float("nan"), 0.5], [0.5, float("-inf")], 3.0, [], [int("9" * 400), 0.5],
+        ["0.5", "0.3"], [True, False],
+    ],
 )
 def test_cli_aggregate_rejects_malformed_values(tmp_path, capsys, bad_values):
     vectors = tmp_path / "vectors.jsonl"

@@ -33,7 +33,9 @@ from fedtrend.secagg import (
     aggregate,
     combine_received,
     encode,
+    encoded_sum,
     exact_sum,
+    grid_bits,
     make_shares,
     ordered_sum,
     seeded_rng,
@@ -57,7 +59,7 @@ def random_secrets(n, d, seed):
 def test_single_user_round_degenerates():
     secrets = random_secrets(1, 4, seed=0)
     agg, transcript = run_round(secrets, RoundConfig(seed=0))
-    assert np.array_equal(agg.values, encode(secrets[0], 1, 100.0))
+    assert np.array_equal(agg.values, encoded_sum(secrets, 100.0))
     assert transcript.count(MessageKind.SHARE) == 0
     assert transcript.count(MessageKind.OBFUSCATED) == 1
     assert transcript.count(MessageKind.AGGREGATE) == 1
@@ -96,7 +98,9 @@ def test_delivery_schedules_agree_on_aggregate(n, share_range):
     agg_rr, t_rr = run_round(secrets, RoundConfig(21, share_range, "round_robin"))
     agg_sh, t_sh = run_round(secrets, RoundConfig(21, share_range, "seeded_shuffle"))
     # every sum of the round is exact, so both equal the exact encoded sum
-    exact = exact_sum([encode(s, n, share_range) for s in secrets])
+    f = grid_bits(n, share_range, (0.0, 1.0))
+    exact = exact_sum([encode(s.values, s.bounds, f) for s in secrets])
+    assert encoded_sum(secrets, share_range).tobytes() == exact.tobytes()
     assert agg_rr.values.tobytes() == agg_sh.values.tobytes() == exact.tobytes()
     assert [m.sender for m in t_rr.messages] != [m.sender for m in t_sh.messages]
     assert len(t_rr.messages) == len(t_sh.messages) == n * n + n
@@ -115,7 +119,7 @@ def _reference_round(secrets, cfg, round_index):
     over the same seeds: each user's block from ``make_shares``, the shares
     in ``_schedule`` order, and each user's obfuscated vector from
     ``combine_received`` once her last share has arrived."""
-    seeds, deliver_seed = _round_seeds(secrets, cfg, round_index)
+    seeds, deliver_seed, _ = _round_seeds(secrets, cfg, round_index)
     n, r, deliver = len(secrets), round_index, np.random.default_rng(deliver_seed)
     blocks = [
         make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
@@ -183,13 +187,15 @@ def test_engine_keeps_a_lone_users_signed_zero():
     assert agg.values.tobytes() == ref_agg.values.tobytes()
     assert np.signbit(agg.values).tolist() == [True, False]
     assert transcript_to_jsonl(transcript) == transcript_to_jsonl(ref_transcript)
+    # the oracle's sum keeps it too, where ndarray.sum would give +0.0
+    assert encoded_sum(secrets, 100.0).tobytes() == agg.values.tobytes()
 
 
 def test_engine_shares_payloads_by_reference():
     n, cfg = 4, RoundConfig(seed=6)
     secrets = random_secrets(n, 5, seed=6)
     result, transcript = run_round(secrets, cfg)
-    seeds, _ = _round_seeds(secrets, cfg, 0)  # the same seeds
+    seeds, _, _ = _round_seeds(secrets, cfg, 0)  # the same seeds
     blocks = [
         make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
         for i, (s, seed) in enumerate(zip(secrets, seeds))
@@ -363,7 +369,8 @@ def test_single_user_round_is_flagged():
 def test_planted_encoded_vector_leak_is_flagged():
     secrets = random_secrets(3, 4, seed=1)
     _, transcript = run_round(secrets, RoundConfig(seed=1))
-    encoded = encode(secrets[2], 3, transcript.share_range)
+    f = grid_bits(3, transcript.share_range, secrets[2].bounds)
+    encoded = encode(secrets[2].values, secrets[2].bounds, f)
     assert not np.array_equal(encoded, secrets[2].values)
     leak = Message(0, "0", "1", MessageKind.SHARE, encoded)
     tampered = Transcript(3, 4, transcript.share_range, 1, transcript.messages + (leak,))

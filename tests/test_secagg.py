@@ -14,6 +14,7 @@ from fedtrend.secagg import (
     aggregate,
     combine_received,
     encode,
+    encoded_sum,
     exact_sum,
     frozen,
     grid_bits,
@@ -75,8 +76,9 @@ def test_diagonal_is_exact_residual():
     v = FeatureVector(values=np.array([0.1, 0.9, 0.5]), bounds=(0.0, 1.0))
     share_set = make_shares(v, 5, 100.0, rng=seeded_rng(3), owner=2)
     others = [k for k in range(5) if k != 2]
+    encoded = encode(v.values, v.bounds, grid_bits(5, 100.0, v.bounds))
     for order in (others, others[::-1]):
-        residual = encode(v, 5, 100.0) - ordered_sum(share_set.shares[order])
+        residual = encoded - ordered_sum(share_set.shares[order])
         assert np.array_equal(share_set.diagonal, residual)
 
 
@@ -102,7 +104,10 @@ def test_shares_are_grid_points_that_sum_exactly(n, share_range, high, seed):
     assert np.all(np.abs(numerators) < 2.0**53)
     others = np.delete(share_set.shares, seed % n, axis=0)
     assert np.all(np.abs(others) <= share_range)
-    encoded = encode(v, n, share_range)
+    encoded = encode(v.values, v.bounds, f)
+    # a stack of vectors encodes row by row
+    stack = encode(np.stack([v.values[::-1], v.values]), v.bounds, f)
+    assert stack.tobytes() == np.stack([encoded[::-1], encoded]).tobytes()
     step = 2.0**-f
     # the nearest grid point inside the bounds: at most half a step away, or,
     # next to a bound off the grid, the outermost grid point, under a step away
@@ -186,14 +191,14 @@ UNSERVABLE_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", list(UNSERVABLE_GRIDS))
-@pytest.mark.parametrize("call", ["make_shares", "encode"])
+@pytest.mark.parametrize("call", ["make_shares", "encoded_sum"])
 def test_unservable_grids_are_refused_as_a_round_refuses_them(call, grid):
     v, share_range, text = UNSERVABLE_GRIDS[grid]
     with pytest.raises(ValueError) as refused:
         if call == "make_shares":
             make_shares(v, 2, share_range, rng=seeded_rng(0))
         else:
-            encode(v, 2, share_range)
+            encoded_sum([v, v], share_range)
     assert str(refused.value) == text
 
 
