@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, DocumentColumns, VocabularyIndex, document_columns
-from .secagg import FeatureVector, frozen
+from .secagg import FeatureVector, freeze, frozen
 
 __all__ = [
     "LikelihoodVector",
@@ -97,8 +97,9 @@ class PosteriorRanking:
         return self.order.index(j) + 1
 
 
-def _descending_order(keywords, values, weights) -> tuple[int, ...]:
-    """Indices by non-increasing ``values * weights``, ties in keyword order.
+def _descending_order(by_keyword, values, weights) -> tuple[int, ...]:
+    """Indices by non-increasing ``values * weights``, ties in the order of
+    ``by_keyword``, the vocabulary's lexicographic order.
 
     Ranks on the rounded products, as stored in ``scores``, except that a
     product that underflowed (nonzero factors, below the smallest normal
@@ -117,7 +118,6 @@ def _descending_order(keywords, values, weights) -> tuple[int, ...]:
         # every double is an integer multiple of 2**-1074
         (a, b), (c, d) = values[j].as_integer_ratio(), weights[j].as_integer_ratio()
         key[j] = (key[j][0], -((a << 1074) // b) * ((c << 1074) // d))
-    by_keyword = sorted(range(len(keywords)), key=keywords.__getitem__)
     # a stable sort keeps keyword order among equal keys
     return tuple(sorted(by_keyword, key=key.__getitem__))
 
@@ -127,7 +127,7 @@ def compute_prior(vocab: VocabularyIndex) -> PriorDistribution:
     total = float(vocab.idf.sum())
     if total <= 0.0:
         raise ValueError("degenerate prior: IDF table sums to zero")
-    return PriorDistribution(vocab=vocab, p=vocab.idf / total)
+    return PriorDistribution(vocab=vocab, p=freeze(vocab.idf / total))
 
 
 def local_likelihoods(
@@ -166,7 +166,7 @@ def column_likelihoods(
         if alpha0 > 0:
             counts += alpha0
         total = float(counts.sum())
-        values = counts / total if total > 0 else counts
+        values = freeze(counts / total if total > 0 else counts)
         fv = FeatureVector(values=values, bounds=(0.0, 1.0))
         likelihoods.append(LikelihoodVector(user_id=str(i), values=fv))
     return likelihoods
@@ -192,9 +192,8 @@ def posterior_scores(
     if len(aggregated_likelihood) != len(prior.vocab):
         raise ValueError("aggregated likelihood and prior use different vocabularies")
     values = aggregated_likelihood.values
-    scores = values * prior.p
-    scores.setflags(write=False)
-    order = _descending_order(prior.vocab.keywords, values, prior.p)
+    scores = freeze(values * prior.p)
+    order = _descending_order(prior.vocab.by_keyword, values, prior.p)
     return PosteriorRanking(vocab=prior.vocab, scores=scores, order=order)
 
 
@@ -216,9 +215,9 @@ def rank_rounds(
     rankings = []
     for round_index, values in enumerate(aggregates):
         if resolution > 0.0:
-            values = np.round(values / resolution) * resolution
+            values = freeze(np.round(values / resolution) * resolution)
         if aggregation == "mean":
-            values = values / n_users
+            values = freeze(values / n_users)
         fv = FeatureVector(values=values, bounds=(0.0, float(n_users)))
         rankings.append(posterior_scores(fv, prior))
         if round_index + 1 < len(aggregates):
@@ -231,4 +230,4 @@ def update_prior(posterior: PosteriorRanking) -> PriorDistribution:
     total = float(posterior.scores.sum())
     if total <= 0.0:
         raise ValueError("no evidence to update on: posterior scores are all zero")
-    return PriorDistribution(vocab=posterior.vocab, p=posterior.scores / total)
+    return PriorDistribution(vocab=posterior.vocab, p=freeze(posterior.scores / total))

@@ -88,33 +88,33 @@ def _load_vectors(
 
     Values must be a non-empty flat list of finite numbers, inside
     ``bounds`` when given; a record that breaks this is a configuration
-    error naming the file, line and record id.
+    error naming the file, line and record id, and a file that is not
+    UTF-8 is one naming the file.
     """
     vectors = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                raw = rec["values"]
-                record_id = str(rec.get("id", lineno - 1))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: line {lineno}: bad vector record ({exc})")
-            where = f"{path}: line {lineno}: record {record_id!r}"
-            try:  # np.asarray would read "0.5" and true as numbers
-                if isinstance(raw, list) and any(isinstance(x, (str, bool)) for x in raw):
-                    raise TypeError("a string or boolean entry")
-                values = np.asarray(raw, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{where}: values are not numbers ({exc})")
-            if values.ndim != 1 or values.size == 0:
-                raise ConfigError(f"{where}: values must be a non-empty flat list")
-            if not np.all(np.isfinite(values)):
-                raise ConfigError(f"{where}: non-finite value")
-            if bounds and not bounds[0] <= values.min() <= values.max() <= bounds[1]:
-                raise ConfigError(f"{where}: values outside [{bounds[0]:g}, {bounds[1]:g}]")
-            vectors.append((record_id, values))
+    for lineno, line in enumerate(corpus.read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            raw = rec["values"]
+            record_id = str(rec.get("id", lineno - 1))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: line {lineno}: bad vector record ({exc})")
+        where = f"{path}: line {lineno}: record {record_id!r}"
+        try:  # np.asarray would read "0.5" and true as numbers
+            if isinstance(raw, list) and any(isinstance(x, (str, bool)) for x in raw):
+                raise TypeError("a string or boolean entry")
+            values = secagg.freeze(np.asarray(raw, dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: values are not numbers ({exc})")
+        if values.ndim != 1 or values.size == 0:
+            raise ConfigError(f"{where}: values must be a non-empty flat list")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{where}: non-finite value")
+        if bounds and not bounds[0] <= values.min() <= values.max() <= bounds[1]:
+            raise ConfigError(f"{where}: values outside [{bounds[0]:g}, {bounds[1]:g}]")
+        vectors.append((record_id, values))
     if not vectors:
         raise ConfigError(f"{path}: no vectors found")
     dims = {v.shape for _, v in vectors}

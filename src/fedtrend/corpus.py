@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -35,6 +35,7 @@ __all__ = [
     "preprocess",
     "preprocess_corpus",
     "primary_keyword_set",
+    "read_lines",
     "tokenize",
 ]
 
@@ -65,7 +66,8 @@ class VocabularyIndex:
     """Ordered keyword list with per-keyword IDF weights.
 
     The position of a keyword in ``keywords`` fixes coordinate j of every
-    vector in the system and is stable for the life of a run.
+    vector in the system and is stable for the life of a run.  ``by_keyword``
+    lists the positions in lexicographic keyword order.
     """
 
     def __init__(self, keywords: Sequence[str], idf: Sequence[float]):
@@ -79,6 +81,7 @@ class VocabularyIndex:
             raise ValueError("idf values must be finite and nonnegative")
         self.keywords = keywords
         self._index = {kw: j for j, kw in enumerate(keywords)}
+        self.by_keyword = tuple(sorted(range(len(keywords)), key=keywords.__getitem__))
 
     def __len__(self) -> int:
         return len(self.keywords)
@@ -95,6 +98,18 @@ class VocabularyIndex:
 # ---------------------------------------------------------------------------
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of the UTF-8 text file ``path`` without their line ends, as
+    iterating over the open file gives them, read in one call; a
+    ``CorpusFormatError`` naming ``path`` if the file is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def load_corpus(path: str | Path, format: str = "lines") -> list[Document]:
     """Load documents from ``path``.
 
@@ -105,43 +120,45 @@ def load_corpus(path: str | Path, format: str = "lines") -> list[Document]:
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.rstrip("\n")
-            if format == "lines":
-                if not text.strip():
-                    raise CorpusFormatError(f"{path}: line {lineno}: blank document")
-                docs.append(Document(id=str(lineno - 1), raw_text=text))
-            else:
-                try:
-                    record = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: invalid JSON ({exc.msg})"
-                    ) from exc
-                if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: record must carry 'id' and 'text'"
-                    )
-                docs.append(Document(id=str(record["id"]), raw_text=str(record["text"])))
+    for lineno, text in enumerate(read_lines(path), start=1):
+        if format == "lines":
+            if not text.strip():
+                raise CorpusFormatError(f"{path}: line {lineno}: blank document")
+            docs.append(Document(id=str(lineno - 1), raw_text=text))
+        else:
+            try:
+                record = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(
+                    f"{path}: line {lineno}: invalid JSON ({exc.msg})"
+                ) from exc
+            if not isinstance(record, dict) or "id" not in record or "text" not in record:
+                raise CorpusFormatError(
+                    f"{path}: line {lineno}: record must carry 'id' and 'text'"
+                )
+            docs.append(Document(id=str(record["id"]), raw_text=str(record["text"])))
     return docs
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One lowercase word per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as handle:
-        return frozenset(word for word in (line.strip() for line in handle) if word)
+    return frozenset(filter(None, map(str.strip, read_lines(path))))
 
 
 def load_idf_table(path: str | Path) -> VocabularyIndex:
     """TSV with ``term<TAB>idf`` per line; duplicate terms are an error, and
-    so is a table whose weights sum to zero (it gives no prior)."""
-    keywords: list[str] = []
-    idf: list[float] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+    so is a table whose weights sum to zero (it gives no prior).
+
+    The table is parsed in bulk; only a table that fails is read again line
+    by line, to name its first bad line."""
+    lines = read_lines(path)
+    rows = [line.split("\t") for line in lines if line]
+    try:
+        keywords, values = zip(*rows, strict=True) if rows else ((), ())
+        vocab = VocabularyIndex(keywords, list(map(float, values)))
+    except ValueError as exc:
+        seen: set[str] = set()
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -153,17 +170,12 @@ def load_idf_table(path: str | Path) -> VocabularyIndex:
             if term in seen:
                 raise CorpusFormatError(f"{path}: line {lineno}: duplicate term {term!r}")
             try:
-                value = float(raw_value)
-            except ValueError as exc:
+                float(raw_value)
+            except ValueError as err:
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: idf is not a number: {raw_value!r}"
-                ) from exc
+                ) from err
             seen.add(term)
-            keywords.append(term)
-            idf.append(value)
-    try:
-        vocab = VocabularyIndex(keywords, idf)
-    except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
     if not vocab.idf.sum() > 0:
         raise CorpusFormatError(f"{path}: degenerate prior: IDF table sums to zero")
@@ -217,29 +229,28 @@ def lemmatize(word: str) -> str:
     """Rule-based English suffix stripper (plural -s/-es, -ing, -ed).
 
     Deterministic by design; fidelity to any dictionary lemmatizer is a
-    non-goal.  At most one plural rule and one verbal rule apply.
+    non-goal.  At most one plural rule and one verbal rule apply.  Every
+    plural suffix ends in "s" and every verbal one in "d" or "g", so the
+    last letter picks the rules worth trying.
     """
-    # plural suffixes
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith("ies") and len(word) >= 5:
-        word = word[:-3] + "y"
-    elif word.endswith("es") and word[:-2].endswith(_SIBILANT_STEMS):
-        word = word[:-2]
-    elif (
-        word.endswith("s")
-        and len(word) >= 4
-        and not word.endswith(("ss", "us", "is"))
-    ):
-        word = word[:-1]
-    # verbal suffixes
-    if word.endswith("ied") and len(word) >= 5:
-        word = word[:-3] + "y"
-    elif word.endswith("eed") and len(word) >= 5:
-        word = word[:-1]
-    elif word.endswith("ed") and len(word) >= 5:
-        word = _undouble(word[:-2])
-    elif word.endswith("ing") and len(word) >= 6:
+    if word[-1:] == "s":  # plural suffixes
+        if word.endswith("sses"):
+            word = word[:-2]
+        elif word.endswith("ies") and len(word) >= 5:
+            word = word[:-3] + "y"
+        elif word.endswith("es") and word[:-2].endswith(_SIBILANT_STEMS):
+            word = word[:-2]
+        elif len(word) >= 4 and not word.endswith(("ss", "us", "is")):
+            word = word[:-1]
+    last = word[-1:]
+    if last == "d" and len(word) >= 5:  # verbal suffixes
+        if word.endswith("ied"):
+            word = word[:-3] + "y"
+        elif word.endswith("eed"):
+            word = word[:-1]
+        elif word.endswith("ed"):
+            word = _undouble(word[:-2])
+    elif last == "g" and len(word) >= 6 and word.endswith("ing"):
         word = _undouble(word[:-3])
     return word
 
@@ -248,24 +259,23 @@ def preprocess_corpus(docs: Sequence[Document], cfg: PreprocessConfig) -> list[D
     """``docs`` with tokens populated, in one pass over the corpus: one
     table drops all its punctuation but hyphens, and stripping hyphens from
     each chunk's ends then equals ``tokenize``'s rule.  Each distinct chunk
-    is stopword-filtered, lemmatized and filtered again once."""
-    chars = set("".join(ch.lower() for ch in set().union(*(d.raw_text for d in docs))))
+    is stopword-filtered, lemmatized and filtered again once, into a table
+    that maps every chunk of a document to its token ("" drops it)."""
+    lowered = [doc.raw_text.lower() for doc in docs]
+    chars = set().union(*lowered)
     drop = str.maketrans("", "", "".join(c for c in chars if c != "-" and _is_punct(c)))
-    token_of: dict[str, str] = {}  # chunk -> token; "" drops the chunk
-    done = []
-    for doc in docs:
-        tokens = []
-        for chunk in doc.raw_text.lower().translate(drop).split():
-            token = token_of.get(chunk)
-            if token is None:
-                word = chunk.strip("-")
-                token = lemmatize(word) if cfg.lemmatize else word
-                drop_it = word in cfg.stopwords or token in cfg.stopwords
-                token = token_of[chunk] = "" if drop_it else token
-            if token:
-                tokens.append(token)
-        done.append(replace(doc, tokens=tuple(tokens)))
-    return done
+    chunks = [text.translate(drop).split() for text in lowered]
+    token_of = dict.fromkeys(chain.from_iterable(chunks), "")
+    stopwords = cfg.stopwords
+    for chunk in token_of:
+        word = chunk.strip("-")
+        token = lemmatize(word) if cfg.lemmatize else word
+        if word not in stopwords and token not in stopwords:
+            token_of[chunk] = token
+    return [
+        Document(doc.id, doc.raw_text, tuple(filter(None, map(token_of.__getitem__, split))))
+        for doc, split in zip(docs, chunks)
+    ]
 
 
 def preprocess(doc: Document, cfg: PreprocessConfig) -> Document:

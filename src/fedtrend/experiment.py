@@ -153,9 +153,9 @@ def sample_user_documents(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
 
-    stopwords = corpus.load_stopwords(cfg.stopword_path)
-    pre_cfg = corpus.PreprocessConfig(stopwords=stopwords, lemmatize=cfg.lemmatize)
     try:
+        stopwords = corpus.load_stopwords(cfg.stopword_path)
+        pre_cfg = corpus.PreprocessConfig(stopwords=stopwords, lemmatize=cfg.lemmatize)
         documents = corpus.preprocess_corpus(
             corpus.load_corpus(cfg.corpus_path, cfg.corpus_format), pre_cfg
         )
@@ -244,24 +244,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def rankings_csv(vocab: corpus.VocabularyIndex, ranking: bayes.PosteriorRanking) -> str:
     """``keyword,score,rank`` lines in rank order, 17-significant-digit scores."""
-    keywords, scores = vocab.keywords, memoryview(ranking.scores)  # items are floats
-    lines = ["keyword,score,rank"]
-    for rank, j in enumerate(ranking.order, start=1):
-        lines.append(f"{keywords[j]},{_fmt(scores[j])},{rank}")
-    return "\n".join(lines) + "\n"
+    keywords, scores = vocab.keywords, ranking.scores.tolist()
+    rows = [
+        "%s,%.17g,%d\n" % (keywords[j], scores[j], rank)
+        for rank, j in enumerate(ranking.order, start=1)
+    ]
+    return "keyword,score,rank\n" + "".join(rows)
 
 
 def rankings_markdown(result: ExperimentResult) -> str:
     """Markdown table mirroring the evaluation table layout: keyword, total
     count, IDF, and the three baseline rankings, plus the posterior rank."""
-    keywords, idf = result.vocab.keywords, memoryview(result.vocab.idf)  # items are floats
-    idf_order = sorted(range(len(keywords)), key=lambda j: (-idf[j], keywords[j]))
+    vocab = result.vocab
+    keywords, idf = vocab.keywords, vocab.idf.tolist()
+    # descending idf, ties in keyword order: a stable sort of the keyword order
+    idf_order = sorted(vocab.by_keyword, key=(-vocab.idf).tolist().__getitem__)
     idf_rank = dict(zip(idf_order, range(1, len(idf_order) + 1)))
     counts, count_ranks = result.count_ranking.counts, result.count_ranking.ranks
     pooled_ranks = result.pooled_ranking.ranks

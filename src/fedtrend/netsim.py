@@ -19,8 +19,9 @@ as JSON Lines, with each payload written as the base64 text of its d
 little-endian doubles: exact for every double, at one C call per message.
 A round's lines are bytes made straight from its seeds, with no
 ``Message``: ``round_robin`` reaches each sender's rows in order, so a
-block is drawn a few rows at a time and ``run`` writes in O(N·d) memory;
-``seeded_shuffle`` may send any share first, so it draws whole blocks.
+block is drawn a few rows at a time, the send order is computed as it goes
+and ``run`` writes in O(N·d) memory; ``seeded_shuffle`` may send any share
+first, so it draws whole blocks and lists its N(N-1) sends.
 """
 
 from __future__ import annotations
@@ -210,8 +211,8 @@ def run_round(
         net[i] -= steps.sum(axis=0)
     obfuscated = secagg.encode([s.values for s in secrets], secrets[0].bounds, f)
     if n > 1:  # adding +0.0 would turn a lone user's encoded -0.0 into +0.0
-        obfuscated = obfuscated + np.ldexp(net, -f)  # exact: every sum is below 2**53 steps
-        obfuscated.setflags(write=False)
+        # exact: every sum is below 2**53 steps
+        obfuscated = secagg.freeze(obfuscated + np.ldexp(net, -f))
     result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
 
     def sends():  # the shares drawn again from the seeds
@@ -225,17 +226,21 @@ def run_round(
             while k >= start + len(block):  # the owner's own row is drawn, never sent
                 start += len(block)
                 steps = secagg.share_steps(rngs[i], (min(rows, n - start), d), share_range, f)
-                block = np.ldexp(steps, -f)
-                block.setflags(write=False)
+                block = secagg.freeze(np.ldexp(steps, -f))
                 held[i] = start, block
             return block[k - start]
 
-        peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
-        shares = _schedule(peers, cfg.delivery, deliver)
+        # a user's obfuscated vector leaves when her last share arrives
+        if cfg.delivery == "seeded_shuffle":
+            peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
+            shares = _schedule(peers, cfg.delivery, deliver)
+            arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
+        else:  # column c of sender i goes to c + (c >= i): user k < n - 1 hears
+            # last from n - 1 in column k, n - 1 from n - 2 just before n - 2 does
+            shares = ((i, c + (c >= i)) for c in range(n - 1) for i in range(n))
+            arrived = [*range(n - 2), n - 1, n - 2][:n]
         for i, k in shares:
             yield i, k, MessageKind.SHARE, share(i, k)
-        # a user's obfuscated vector leaves when her last share arrives
-        arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
         for k in _schedule([[k] for k in arrived], cfg.delivery, deliver):
             yield k, n, MessageKind.OBFUSCATED, obfuscated[k]
         for k in _schedule([[k] for k in range(n)], cfg.delivery, deliver):

@@ -25,14 +25,14 @@ gives the aggregate exactly whatever the order of its vectors.  The
 aggregate equals the exact sum of the encoded vectors, ``encoded_sum``.
 
 Arrays have one owner: the code that makes an array freezes it once, in
-place, and every consumer shares it by reference.  Each class that keeps
-an array (the vectors here, ``netsim.Message``, the ``bayes`` prior and
-ranking, ``corpus.VocabularyIndex``) stores ``frozen(values)``, which
-copies only when a writable array can still reach that memory: the array
-itself or any ndarray on its ``.base`` chain is writable, or the chain ends
-in a buffer other than ``bytes``.  A writable view taken before its base
-was frozen is invisible to that test, so producers freeze only arrays they
-have just made.
+place with ``freeze``, and every consumer shares it by reference.  Each
+class that keeps an array (the vectors here, ``netsim.Message``, the
+``bayes`` prior and ranking, ``corpus.VocabularyIndex``) stores
+``frozen(values)``, which copies only when a writable array can still
+reach that memory: the array itself or any ndarray on its ``.base`` chain
+is writable, or the chain ends in a buffer other than ``bytes``.  A
+writable view taken before its base was frozen is invisible to that test,
+so producers freeze only arrays they have just made.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "encode",
     "encoded_sum",
     "exact_sum",
+    "freeze",
     "frozen",
     "grid_bits",
     "make_shares",
@@ -77,7 +78,11 @@ def frozen(values) -> np.ndarray:
     if (node is None or type(node) is bytes) and type(values) is np.ndarray:
         if values.dtype == np.float64:
             return values
-    values = np.array(values, dtype=np.float64)
+    return freeze(np.array(values, dtype=np.float64))
+
+
+def freeze(values: np.ndarray) -> np.ndarray:
+    """``values``, an array its caller has just made, made read-only in place."""
     values.setflags(write=False)
     return values
 
@@ -186,7 +191,7 @@ def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:
     low, high = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
     # two ufunc calls take about half the time of np.clip's dispatch
     steps = np.minimum(np.maximum(np.round(np.ldexp(values, f)), low), high)
-    return frozen(np.ldexp(steps, -f))
+    return freeze(np.ldexp(steps, -f))
 
 
 def encoded_sum(secrets: Sequence[FeatureVector], share_range: float) -> np.ndarray:
@@ -217,8 +222,7 @@ def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     if redo.size:
         columns = np.stack([np.asarray(vec)[redo] for vec in vectors], axis=1)
         total[redo] = [math.fsum(column.tolist()) for column in columns]
-    total.setflags(write=False)
-    return total
+    return freeze(total)
 
 
 def ordered_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
@@ -230,8 +234,7 @@ def ordered_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
         raise ValueError("ordered_sum needs at least one vector") from None
     for vec in iterator:
         total += vec
-    total.setflags(write=False)
-    return total
+    return freeze(total)
 
 
 def share_steps(rng: np.random.Generator, shape, share_range: float, f: int) -> np.ndarray:
@@ -268,8 +271,7 @@ def make_shares(
     # a grid point in every row; the owner's row then becomes the residual
     shares = np.ldexp(share_steps(rng, (n_users, len(v)), share_range, f), -f)
     shares[owner] = encode(v.values, v.bounds, f) - (shares.sum(axis=0) - shares[owner])
-    shares.setflags(write=False)
-    return ShareSet(owner=owner, shares=shares)
+    return ShareSet(owner=owner, shares=freeze(shares))
 
 
 def combine_received(

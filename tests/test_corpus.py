@@ -1,10 +1,11 @@
+import itertools
 import json
 import unicodedata
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedtrend import data
@@ -142,6 +143,78 @@ def test_lemmatizer_rules():
     }
     for word, lemma in cases.items():
         assert lemmatize(word) == lemma, word
+
+
+# The rule chain that ``lemmatize`` ran before it picked its rules by the
+# word's last letter, kept verbatim as its reference.
+_SIBILANT_STEMS = ("x", "z", "ch", "sh", "ss")
+_UNDOUBLE = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
+
+
+def _undouble(stem: str) -> str:
+    return stem[:-1] if stem.endswith(_UNDOUBLE) else stem
+
+
+def _reference_lemmatize(word: str) -> str:
+    # plural suffixes
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith("ies") and len(word) >= 5:
+        word = word[:-3] + "y"
+    elif word.endswith("es") and word[:-2].endswith(_SIBILANT_STEMS):
+        word = word[:-2]
+    elif (
+        word.endswith("s")
+        and len(word) >= 4
+        and not word.endswith(("ss", "us", "is"))
+    ):
+        word = word[:-1]
+    # verbal suffixes
+    if word.endswith("ied") and len(word) >= 5:
+        word = word[:-3] + "y"
+    elif word.endswith("eed") and len(word) >= 5:
+        word = word[:-1]
+    elif word.endswith("ed") and len(word) >= 5:
+        word = _undouble(word[:-2])
+    elif word.endswith("ing") and len(word) >= 6:
+        word = _undouble(word[:-3])
+    return word
+
+
+# Pieces that make up every suffix the rules test, doubled consonants
+# included, so joined pieces reach each rule and its length limits.
+SUFFIX_PIECES = (
+    "", "s", "es", "ss", "sses", "ies", "ied", "eed", "ed", "ing", "us", "is",
+    "x", "z", "ch", "sh", "y", "e", "i", "d", "g", "n", "a", "bb", "dd", "gg",
+    "nn", "pp", "tt", "ff", "mm", "rr",
+)
+SUFFIX_WORDS = st.one_of(
+    st.lists(st.sampled_from(SUFFIX_PIECES), max_size=4).map("".join),
+    st.text(alphabet="abdegilnprstuxyz", max_size=9),
+)
+
+
+@settings(max_examples=500)
+@given(SUFFIX_WORDS)
+@example("")
+@example("s")
+@example("sses")
+@example("ies")
+@example("lies")
+@example("ied")
+@example("tied")
+@example("eed")
+@example("feed")
+@example("hopped")
+@example("hopping")
+@example("ebbing")
+def test_lemmatize_equals_the_reference_rule_chain(word):
+    assert lemmatize(word) == _reference_lemmatize(word)
+
+
+def test_lemmatize_equals_the_reference_on_every_three_piece_word():
+    for word in map("".join, itertools.product(SUFFIX_PIECES, repeat=3)):
+        assert lemmatize(word) == _reference_lemmatize(word), word
 
 
 @settings(max_examples=200)

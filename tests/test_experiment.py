@@ -4,18 +4,20 @@ import json
 import re
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedtrend import baselines, cli, corpus, data, netsim, secagg
+from fedtrend import baselines, bayes, cli, corpus, data, netsim, secagg
 from fedtrend.experiment import (
     ConfigError,
     ExperimentConfig,
     build_vocabulary,
     rankings_csv,
+    rankings_markdown,
     run_experiment,
     sample_user_documents,
     write_outputs,
@@ -237,6 +239,75 @@ def test_experiment_output_files(tmp_path, experiment_config):
 
     transcript = netsim.load_transcript(paths["transcript"])
     assert len(transcript.messages) == 110
+
+
+# The ranking-file writers as they were before they formatted in bulk and
+# took the vocabulary's lexicographic order, kept verbatim as references.
+def _reference_rankings_csv(vocab, ranking):
+    keywords, scores = vocab.keywords, memoryview(ranking.scores)  # items are floats
+    lines = ["keyword,score,rank"]
+    for rank, j in enumerate(ranking.order, start=1):
+        lines.append(f"{keywords[j]},{format(scores[j], '.17g')},{rank}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_rankings_markdown(result):
+    keywords, idf = result.vocab.keywords, memoryview(result.vocab.idf)  # items are floats
+    idf_order = sorted(range(len(keywords)), key=lambda j: (-idf[j], keywords[j]))
+    idf_rank = dict(zip(idf_order, range(1, len(idf_order) + 1)))
+    counts, count_ranks = result.count_ranking.counts, result.count_ranking.ranks
+    pooled_ranks = result.pooled_ranking.ranks
+    header = (
+        "| keyword | total count | idf | idf rank | count rank "
+        "| pooled-trend rank | posterior rank |"
+    )
+    sep = "|---|---|---|---|---|---|---|"
+    rows = [header, sep]
+    for rank, j in enumerate(result.posterior.order, start=1):
+        kw = keywords[j]
+        rows.append(
+            f"| {kw} | {counts.get(kw, 0)} | {idf[j]:g} "
+            f"| {idf_rank[j]} | {count_ranks.get(kw, '')} "
+            f"| {pooled_ranks.get(kw, '')} | {rank} |"
+        )
+    return "\n".join(rows) + "\n"
+
+
+# few distinct values, so idf values and scores tie; -0.0 and subnormals too
+TIED_IDF = st.sampled_from([0.0, 0.5, 1.0, 2.5, 5e-324, 1e-310, 1e300])
+TIED_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1, 1 / 3, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def ranking_results(draw):
+    """A stand-in for ``run_experiment``'s result: a random vocabulary, a
+    ranking in any order, and counts and baseline ranks for some keywords."""
+    words = st.text("aAbB-é0 ", min_size=1, max_size=3)
+    keywords = draw(st.lists(words, unique=True, max_size=12))
+    n = len(keywords)
+    vocab = corpus.VocabularyIndex(keywords, draw(st.lists(TIED_IDF, min_size=n, max_size=n)))
+    scores = np.array(draw(st.lists(TIED_SCORES, min_size=n, max_size=n)), dtype=np.float64)
+    order = tuple(draw(st.permutations(range(n))))
+    posterior = bayes.PosteriorRanking(vocab=vocab, scores=scores, order=order)
+    ranks = st.dictionaries(st.sampled_from(keywords), st.integers(1, n)) if n else st.just({})
+    return SimpleNamespace(
+        vocab=vocab,
+        posterior=posterior,
+        count_ranking=SimpleNamespace(counts=draw(ranks), ranks=draw(ranks)),
+        pooled_ranking=SimpleNamespace(ranks=draw(ranks)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(result=ranking_results())
+def test_ranking_files_equal_the_reference_writers(result):
+    assert rankings_csv(result.vocab, result.posterior) == _reference_rankings_csv(
+        result.vocab, result.posterior
+    )
+    assert rankings_markdown(result) == _reference_rankings_markdown(result)
 
 
 def test_experiment_transcript_rounds_accumulate(experiment_config):
@@ -840,6 +911,52 @@ def test_cli_degenerate_idf_table_is_a_config_error(tmp_path, capsys, command, t
     err = capsys.readouterr().err
     assert err.startswith(f"error: {idf}: degenerate prior")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "0", "--corpus"],
+        ["check", "--seed", "0", "--stopwords"],
+        ["run", "--seed", "0", "--idf"],
+        ["aggregate", "--seed", "0", "--vectors"],
+        ["rank", "--likelihoods"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_cli_non_utf8_input_file_is_a_config_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes('{"values": [0.5, 0.5]}\nalpha\t1.0\nna\u00efve\n'.encode("latin-1"))
+    out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
+    assert cli.main([*argv, str(bad), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_stores_the_arrays_their_producers_made(monkeypatch, tmp_path, capsys):
+    """Each array a command keeps was frozen in place by the code that made
+    it, so ``frozen`` stores it as it is, in the producer's own memory."""
+    copies = []
+
+    def spy(values, keep=secagg.frozen):
+        kept = keep(values)
+        if isinstance(values, np.ndarray) and not np.shares_memory(kept, values):
+            copies.append(values.shape)
+        return kept
+
+    for module in (secagg, bayes, corpus):
+        monkeypatch.setattr(module, "frozen", spy)
+    vectors, idf, out = tmp_path / "vectors.jsonl", tmp_path / "idf.tsv", str(tmp_path / "out")
+    vectors.write_text('{"values": [0.2, 0.4]}\n{"values": [0.3, 0.1]}\n', encoding="utf-8")
+    idf.write_text("alpha\t1.0\nbeta\t4.0\n", encoding="utf-8")
+    argv = ["--users", "12", "--seed", "1", "--rounds", "2"]
+    assert cli.main(["check", *argv, "--agg", "mean"]) == 0
+    assert cli.main(["run", *argv, "--out", out]) == 0
+    assert cli.main(["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", out]) == 0
+    assert cli.main(["rank", "--likelihoods", str(vectors), "--idf", str(idf), "--out", out]) == 0
+    assert copies == []
 
 
 # sha256 of the files that `fedtrend run` wrote for each argv before the

@@ -320,6 +320,22 @@ def test_write_transcript_peak_memory_is_linear_in_users(tmp_path):
     assert peak < n * n * d * 8 / 4
 
 
+def test_write_transcript_keeps_no_send_order_at_small_d(tmp_path):
+    n, d = 200, 1
+    _, transcript = run_round(random_secrets(n, d, seed=9), RoundConfig(seed=9))
+    path = tmp_path / "transcript.jsonl"
+    write_transcript(transcript, path)  # warm numpy's and the rngs' caches
+    tracemalloc.start()
+    try:
+        write_transcript(transcript, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # round robin computes each (sender, receiver) pair as it sends; a list
+    # of all N(N-1) pairs would hold about 70 bytes each, 2.7 MiB here
+    assert peak < 16 * n * n
+
+
 # ---------------------------------------------------------------------------
 # privacy checks
 # ---------------------------------------------------------------------------
