@@ -123,11 +123,9 @@ def _descending_order(by_keyword, values, weights) -> tuple[int, ...]:
 
 
 def compute_prior(vocab: VocabularyIndex) -> PriorDistribution:
-    """Mean of Dirichlet(idf): p[j] = idf[j] / sum(idf)."""
-    total = float(vocab.idf.sum())
-    if total <= 0.0:
-        raise ValueError("degenerate prior: IDF table sums to zero")
-    return PriorDistribution(vocab=vocab, p=freeze(vocab.idf / total))
+    """Mean of Dirichlet(idf): p[j] = idf[j] / sum(idf); a ``ValueError``
+    unless that sum is finite and positive."""
+    return PriorDistribution(vocab=vocab, p=freeze(vocab.idf / vocab.idf_total()))
 
 
 def local_likelihoods(

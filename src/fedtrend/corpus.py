@@ -86,6 +86,14 @@ class VocabularyIndex:
     def __len__(self) -> int:
         return len(self.keywords)
 
+    def idf_total(self) -> float:
+        """The sum of the idf weights; a ``ValueError`` unless finite and positive."""
+        with np.errstate(over="ignore"):  # a sum past the largest double is inf
+            total = float(self.idf.sum())
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"degenerate prior: IDF weights sum to {total:g}")
+        return total
+
     def __contains__(self, keyword: str) -> bool:
         return keyword in self._index
 
@@ -147,7 +155,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def load_idf_table(path: str | Path) -> VocabularyIndex:
     """TSV with ``term<TAB>idf`` per line; duplicate terms are an error, and
-    so is a table whose weights sum to zero (it gives no prior).
+    so is a table whose weights sum to zero or overflow (it gives no prior).
 
     The table is parsed in bulk; only a table that fails is read again line
     by line, to name its first bad line."""
@@ -156,6 +164,7 @@ def load_idf_table(path: str | Path) -> VocabularyIndex:
     try:
         keywords, values = zip(*rows, strict=True) if rows else ((), ())
         vocab = VocabularyIndex(keywords, list(map(float, values)))
+        vocab.idf_total()
     except ValueError as exc:
         seen: set[str] = set()
         for lineno, line in enumerate(lines, start=1):
@@ -177,8 +186,6 @@ def load_idf_table(path: str | Path) -> VocabularyIndex:
                 ) from err
             seen.add(term)
         raise CorpusFormatError(f"{path}: {exc}") from exc
-    if not vocab.idf.sum() > 0:
-        raise CorpusFormatError(f"{path}: degenerate prior: IDF table sums to zero")
     return vocab
 
 

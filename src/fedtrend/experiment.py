@@ -163,7 +163,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     except corpus.CorpusFormatError as exc:
         raise ConfigError(str(exc)) from exc
     vocab = build_vocabulary(idf_table, documents, oov=cfg.oov)
-    prior = bayes.compute_prior(vocab)
+    try:  # the weights that --oov max adds may make the sum overflow
+        prior = bayes.compute_prior(vocab)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.idf_path}: {exc}") from exc
 
     # The sampling stream is separated from the per-round protocol streams
     # by the extra entropy word.
@@ -192,8 +195,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # the oracle takes the same belief updates on the aggregate without shares
     exact = secagg.encoded_sum(secrets, cfg.share_range)
     scoring = (prior, cfg.n_users, cfg.aggregation, cfg.score_resolution)
-    posteriors = bayes.rank_rounds(aggregates, *scoring)
-    oracle = bayes.rank_rounds([exact] * cfg.rounds, *scoring)[-1]
+    try:
+        posteriors = bayes.rank_rounds(aggregates, *scoring)
+        oracle = bayes.rank_rounds([exact] * cfg.rounds, *scoring)[-1]
+    except ValueError as exc:  # all-zero scores leave the next round no prior
+        raise ConfigError(f"--rounds {cfg.rounds}: {exc} under {cfg.idf_path}") from exc
 
     count_ranking = baselines.rank_by_term_totals(term_totals, vocab)
     tops = [

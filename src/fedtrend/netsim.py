@@ -14,25 +14,28 @@ draws it again from her seed when the transcript is read.
 ``inject_adversary`` runs that round and rewrites, on the wire, the
 messages that one misbehaving user changes.
 
-``write_transcript`` saves a transcript, every delivered message in order,
-as JSON Lines, with each payload written as the base64 text of its d
-little-endian doubles: exact for every double, at one C call per message.
-A round's lines are bytes made straight from its seeds, with no
-``Message``: ``round_robin`` reaches each sender's rows in order, so a
-block is drawn a few rows at a time, the send order is computed as it goes
-and ``run`` writes in O(N·d) memory; ``seeded_shuffle`` may send any share
-first, so it draws whole blocks and lists its N(N-1) sends.
+Every transcript is one stream of sends, (round, sender, receiver, kind,
+payload) tuples that a ``Message`` also unpacks to.  ``write_transcript``
+saves the stream, every delivered message in order, as JSON Lines, with
+each payload written as the base64 text of its d little-endian doubles:
+exact for every double, at one C call per message.  A round's sends are
+drawn again from its seeds, with no ``Message``: ``round_robin`` reaches
+each sender's rows in order, so a block is drawn a few rows at a time, the
+send order is computed as it goes and ``run`` writes in O(N·d) memory;
+``seeded_shuffle`` may send any share first, so it draws whole blocks and
+lists its N(N-1) sends.
 """
 
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,16 +84,22 @@ class Message:
     payload: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.sender, str) or not isinstance(self.receiver, str):
+            raise TypeError("node names must be strings")
         object.__setattr__(self, "payload", secagg.frozen(self.payload))
+
+    def __iter__(self):  # the send this message records
+        return iter((self.round, self.sender, self.receiver, self.kind, self.payload))
 
 
 @dataclass(frozen=True)
 class Transcript:
     """Every delivered message of a run, plus the round parameters.
 
-    ``parts`` are callables that yield the same messages on every call; in
-    order they make up ``messages``, which ``messages=None`` builds on first
-    read and keeps.  ``write_transcript`` streams the parts instead.
+    ``parts`` are callables that yield the same sends, (round, sender,
+    receiver, kind, payload) with str node names, on every call; in order
+    they make up ``messages``, which ``messages=None`` builds on first read
+    and keeps.  ``write_transcript`` streams the parts instead.
     """
 
     n_users: int
@@ -110,7 +119,7 @@ class Transcript:
     def __getattr__(self, name: str):
         if name != "messages":
             raise AttributeError(name)
-        messages = tuple(m for part in self.parts for m in part())
+        messages = tuple(Message(*send) for part in self.parts for send in part())
         object.__setattr__(self, "messages", messages)
         return messages
 
@@ -181,21 +190,6 @@ def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
 _ROW_BUDGET = 512
 
 
-@dataclass(frozen=True)
-class _RoundPart:
-    """A round's messages, drawn again from its seeds on every call:
-    ``sends()`` yields (sender, receiver, kind, payload) in send order, node
-    k being ``names[k]``; calling the part yields them as ``Message``s."""
-
-    round: int
-    names: tuple[str, ...]
-    sends: Callable[[], Iterator[tuple]]
-
-    def __call__(self) -> Iterator[Message]:
-        for i, k, kind, payload in self.sends():
-            yield Message(self.round, self.names[i], self.names[k], kind, payload)
-
-
 def run_round(
     secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
 ) -> tuple[FeatureVector, Transcript]:
@@ -216,6 +210,7 @@ def run_round(
     result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
 
     def sends():  # the shares drawn again from the seeds
+        names = (*map(str, range(n)), AGGREGATOR_ID)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         deliver = np.random.default_rng(deliver_seed)
         rows = n if cfg.delivery == "seeded_shuffle" else max(1, _ROW_BUDGET // n)
@@ -240,14 +235,13 @@ def run_round(
             shares = ((i, c + (c >= i)) for c in range(n - 1) for i in range(n))
             arrived = [*range(n - 2), n - 1, n - 2][:n]
         for i, k in shares:
-            yield i, k, MessageKind.SHARE, share(i, k)
+            yield round_index, names[i], names[k], MessageKind.SHARE, share(i, k)
         for k in _schedule([[k] for k in arrived], cfg.delivery, deliver):
-            yield k, n, MessageKind.OBFUSCATED, obfuscated[k]
+            yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k]
         for k in _schedule([[k] for k in range(n)], cfg.delivery, deliver):
-            yield n, k, MessageKind.AGGREGATE, result.values
+            yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, result.values
 
-    part = _RoundPart(round_index, (*map(str, range(n)), AGGREGATOR_ID), sends)
-    return result, Transcript(n, d, share_range, cfg.seed, None, (part,))
+    return result, Transcript(n, d, share_range, cfg.seed, None, (sends,))
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +416,13 @@ def _jsonl_lines(transcript: Transcript) -> Iterator[bytes]:
             "seed": transcript.seed,
         }
     ).encode() + b"\n"
+    quote = functools.cache(lambda name: json.dumps(name).encode())  # once per name
     last = text = None
     for part in transcript.parts:
-        if isinstance(part, _RoundPart):  # each node's name quoted once
-            names = [json.dumps(name).encode() for name in part.names]
-            fields = ((part.round, names[i], names[k], kind, payload)
-                      for i, k, kind, payload in part.sends())
-        else:
-            fields = ((m.round, json.dumps(m.sender).encode(),
-                       json.dumps(m.receiver).encode(), m.kind, m.payload) for m in part())
-        for r, sender, receiver, kind, payload in fields:
+        for r, sender, receiver, kind, payload in part():
             if payload is not last:  # a round's broadcasts carry one array
                 last, text = payload, _format_payload(payload)
-            yield _LINE % (r, sender, receiver, _KINDS[kind], text)
+            yield _LINE % (r, quote(sender), quote(receiver), _KINDS[kind], text)
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
@@ -455,7 +443,7 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
         handle.writelines(_jsonl_lines(transcript))
 
 
-def _read_record(path: str | Path, lineno: int, line: str, parse):
+def _read_record(path: str | Path, lineno: int, line: bytes, parse):
     """``parse`` of the JSON object on line ``lineno`` of ``path``; a
     ``ValueError`` naming the path and the line if that line is not JSON,
     lacks a field or holds a bad value."""
@@ -470,11 +458,11 @@ def _read_record(path: str | Path, lineno: int, line: str, parse):
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a transcript that ``write_transcript`` wrote.  A header or
-    message line that is not JSON or lacks a field, a message of an unknown
-    kind and a payload other than base64 of exactly d doubles raise
-    ``ValueError`` naming the path and the line."""
-    with open(path, encoding="utf-8") as handle:
+    """Read a transcript that ``write_transcript`` wrote.  A line that is
+    not UTF-8 JSON or lacks a field, a message of an unknown kind or with a
+    node name other than a string, and a payload other than base64 of
+    exactly d doubles raise ``ValueError`` naming the path and the line."""
+    with open(path, "rb") as handle:  # json.loads decodes each line
         header = _read_record(path, 1, handle.readline(), lambda rec: Transcript(
             int(rec["N"]), int(rec["d"]), float(rec["D"]), int(rec["seed"]), ()
         ))

@@ -447,7 +447,11 @@ def test_idf_table_bad_number(tmp_path):
         load_idf_table(path)
 
 
-@pytest.mark.parametrize("table", ["", "alpha\t0\nbeta\t0\n"], ids=["empty", "all-zero"])
+@pytest.mark.parametrize(
+    "table",
+    ["", "alpha\t0\nbeta\t0\n", "alpha\t1e308\nbeta\t1e308\n"],
+    ids=["empty", "all-zero", "overflowing"],
+)
 def test_idf_table_without_weight_is_rejected(tmp_path, table):
     path = tmp_path / "idf.tsv"
     path.write_text(table, encoding="utf-8")

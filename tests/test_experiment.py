@@ -895,7 +895,11 @@ def test_cli_edited_vector_files_end_in_a_documented_exit_code(tmp_path, capsys,
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("table", ["", "alpha\t0\nbeta\t0\n"], ids=["empty", "all-zero"])
+@pytest.mark.parametrize(
+    "table",
+    ["", "alpha\t0\nbeta\t0\n", "alpha\t1e308\nbeta\t1e308\n"],
+    ids=["empty", "all-zero", "overflowing"],
+)
 @pytest.mark.parametrize("command", ["run", "check", "rank"])
 def test_cli_degenerate_idf_table_is_a_config_error(tmp_path, capsys, command, table):
     idf = tmp_path / "idf.tsv"
@@ -911,6 +915,39 @@ def test_cli_degenerate_idf_table_is_a_config_error(tmp_path, capsys, command, t
     err = capsys.readouterr().err
     assert err.startswith(f"error: {idf}: degenerate prior")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_oov_max_weights_whose_sum_overflows_are_a_config_error(tmp_path, capsys):
+    # the table alone sums to 1.1e308; --oov max adds the corpus's other
+    # tokens at 1e308 each
+    idf = tmp_path / "idf.tsv"
+    idf.write_text("manhattan\t1e308\nproject\t1e307\n", encoding="utf-8")
+    assert cli.main(["check", "--seed", "0", "--idf", str(idf)]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", "--seed", "0", "--oov", "max", "--idf", str(idf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {idf}: degenerate prior")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "table", ["zzzqqq\t1.0\nyyyxxx\t2.0\n", "manhattan\t0\nzzzqqq\t1\n"],
+    ids=["no-word-held", "held-word-weighs-0"],
+)
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_rounds_without_evidence_are_a_config_error(tmp_path, capsys, command, table):
+    """With no held keyword of positive weight every score of a round is 0,
+    which leaves the next round no prior; a single round still ranks."""
+    idf = tmp_path / "idf.tsv"
+    idf.write_text(table, encoding="utf-8")
+    for rounds, status in (1, 0), (2, 2):
+        out = tmp_path / f"out{rounds}"
+        argv = [command, "--seed", "0", "--idf", str(idf), "--rounds", str(rounds)]
+        assert cli.main(argv + (["--out", str(out)] if command == "run" else [])) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rounds 2: no evidence to update on")
+    assert str(idf) in err and "Traceback" not in err
+    assert not (tmp_path / "out2").exists()
 
 
 @pytest.mark.parametrize(

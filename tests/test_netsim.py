@@ -739,10 +739,19 @@ def test_load_transcript_rejects_malformed_payload(tmp_path, payload, reason):
             '{"round": 0, "from": "0", "to": "1", "kind": "Shared", "payload": ""}\n',
             r"'Shared' is not a valid MessageKind$",
         ),
+        (
+            3,
+            '{"round": 0, "from": [0], "to": "1", "kind": "Share", '
+            '"payload": "AAAAAAAAAAAAAAAAAAAAAA=="}\n',
+            r"node names must be strings$",
+        ),
         (0, "garbage\n", r"not JSON \(Expecting value"),
         (0, '{"N": 2, "D": 100.0, "seed": 5}\n', r"missing field 'd'$"),
     ],
-    ids=["not_json", "missing_field", "unknown_kind", "header_not_json", "header_without_d"],
+    ids=[
+        "not_json", "missing_field", "unknown_kind", "list_name", "header_not_json",
+        "header_without_d",
+    ],
 )
 def test_load_transcript_names_the_bad_line(tmp_path, index, line, reason):
     _, transcript = run_round(random_secrets(2, 2, seed=5), RoundConfig(seed=5))
@@ -752,6 +761,18 @@ def test_load_transcript_names_the_bad_line(tmp_path, index, line, reason):
     path.write_text("".join(lines), encoding="utf-8")
     where = f"^{re.escape(str(path))}: line {index + 1}: "
     with pytest.raises(ValueError, match=where + reason):
+        load_transcript(path)
+
+
+@pytest.mark.parametrize("index", [0, 3], ids=["header", "message"])
+def test_load_transcript_names_a_line_that_is_not_utf8(tmp_path, index):
+    _, transcript = run_round(random_secrets(2, 2, seed=5), RoundConfig(seed=5))
+    lines = transcript_to_jsonl(transcript).encode().splitlines(keepends=True)
+    lines[index] = lines[index].replace(b'"', b'"\xff', 1)
+    path = tmp_path / "transcript.jsonl"
+    path.write_bytes(b"".join(lines))
+    where = f"^{re.escape(str(path))}: line {index + 1}: "
+    with pytest.raises(ValueError, match=where + "'utf-8' codec can't decode byte 0xff"):
         load_transcript(path)
 
 
