@@ -6,6 +6,11 @@ Subcommands:
   rank       Bayes ranking only, over a JSONL file of likelihood vectors
   check      assert the federated ranking equals the centralized oracle
 
+``COMMANDS`` lists them as (name, help, add_flags, handler). ``main``
+builds the parser of the command named first alone, and of all four for
+no arguments, ``-h`` or a word that is no command; the help, usage lines
+and errors are the same either way.
+
 Exit codes: 0 success, 1 check mismatch, 2 configuration error (a
 degenerate IDF table among them), 4 range-validation failure.
 """
@@ -203,46 +208,65 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_flags(sub: argparse.ArgumentParser) -> None:
+    _experiment_args(sub)
+    sub.add_argument("--out", default="out", help="output directory")
+
+
+def _aggregate_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--vectors", required=True, help="JSONL vector file")
+    _round_args(sub)
+    bounds = secagg.FeatureVector.bounds  # the default per-user bounds
+    sub.add_argument(
+        "--bounds", type=float, nargs=2, default=bounds, metavar=("A", "B")
+    )
+    sub.add_argument("--out", default="out")
+
+
+def _rank_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--likelihoods", required=True, help="JSONL vector file")
+    sub.add_argument("--idf", default=str(data.idf_table_path()))
+    sub.add_argument(
+        "--agg", choices=AGGREGATIONS, default=ExperimentConfig.aggregation
+    )
+    sub.add_argument("--out", default="out")
+
+
+#: Every subcommand, in help order: (name, help, add_flags, handler).
+COMMANDS = (
+    ("run", "run the full federated experiment", _run_flags, _cmd_run),
+    (
+        "aggregate", "secure aggregation over a vector file",
+        _aggregate_flags, _cmd_aggregate,
+    ),
+    ("rank", "Bayes ranking over likelihood vectors", _rank_flags, _cmd_rank),
+    ("check", "federated vs centralized oracle equality", _experiment_args, _cmd_check),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one; the top-level usage line is the same either way."""
     parser = argparse.ArgumentParser(
         prog="fedtrend",
         description="Privacy-preserving Bayesian trend detection experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run the full federated experiment")
-    _experiment_args(p_run)
-    p_run.add_argument("--out", default="out", help="output directory")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_agg = sub.add_parser("aggregate", help="secure aggregation over a vector file")
-    p_agg.add_argument("--vectors", required=True, help="JSONL vector file")
-    _round_args(p_agg)
-    bounds = secagg.FeatureVector.bounds  # the default per-user bounds
-    p_agg.add_argument("--bounds", type=float, nargs=2, default=bounds, metavar=("A", "B"))
-    p_agg.add_argument("--out", default="out")
-    p_agg.set_defaults(func=_cmd_aggregate)
-
-    p_rank = sub.add_parser("rank", help="Bayes ranking over likelihood vectors")
-    p_rank.add_argument("--likelihoods", required=True, help="JSONL vector file")
-    p_rank.add_argument("--idf", default=str(data.idf_table_path()))
-    p_rank.add_argument(
-        "--agg", choices=AGGREGATIONS, default=ExperimentConfig.aggregation
-    )
-    p_rank.add_argument("--out", default="out")
-    p_rank.set_defaults(func=_cmd_rank)
-
-    p_check = sub.add_parser("check", help="federated vs centralized oracle equality")
-    _experiment_args(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
+    chosen = [c for c in COMMANDS if c[0] == command] or COMMANDS
+    # the metavar argparse would derive from all four names, kept when one is built
+    metavar = None if chosen is COMMANDS else "{%s}" % ",".join(c[0] for c in COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, summary, add_flags, handler in chosen:
+        p = sub.add_parser(name, help=summary)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     # The parser is a reference cycle: dropped before the command runs, it is
     # freed young instead of aging into the collector's oldest generation.
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, corpus.CorpusFormatError, OSError) as exc:

@@ -122,7 +122,8 @@ def load_corpus(path: str | Path, format: str = "lines") -> list[Document]:
     """Load documents from ``path``.
 
     ``lines``: one document per line, UTF-8; a blank line is an error.
-    ``jsonl``: one ``{"id": ..., "text": ...}`` object per line.
+    ``jsonl``: one ``{"id": ..., "text": ...}`` object per line, ``text`` a
+    string.
     Document ids for the ``lines`` format are zero-based ordinals.
     """
     if format not in CORPUS_FORMATS:
@@ -144,7 +145,13 @@ def load_corpus(path: str | Path, format: str = "lines") -> list[Document]:
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: record must carry 'id' and 'text'"
                 )
-            docs.append(Document(id=str(record["id"]), raw_text=str(record["text"])))
+            raw_text = record["text"]
+            if not isinstance(raw_text, str):
+                raise CorpusFormatError(
+                    f"{path}: line {lineno}: 'text' must be a string, not "
+                    f"{type(raw_text).__name__}"
+                )
+            docs.append(Document(id=str(record["id"]), raw_text=raw_text))
     return docs
 
 

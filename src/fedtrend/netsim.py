@@ -124,7 +124,9 @@ class Transcript:
         return messages
 
     def count(self, kind: MessageKind) -> int:
-        return sum(1 for m in self.messages if m.kind is kind)
+        """Messages of ``kind``, counted over the parts' sends, so that no
+        ``messages`` are built or kept."""
+        return sum(1 for part in self.parts for _, _, _, k, _ in part() if k is kind)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,19 @@ def test_load_corpus_jsonl_missing_field(tmp_path):
         load_corpus(path, "jsonl")
 
 
+@pytest.mark.parametrize(
+    "text, kind", [("null", "NoneType"), ('["Costa", "Rica"]', "list"), ("7", "int")]
+)
+def test_load_corpus_jsonl_text_must_be_a_string(tmp_path, text, kind):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": 0, "text": "Costa Rica"}\n{"id": 1, "text": %s}\n' % text, encoding="utf-8"
+    )
+    with pytest.raises(CorpusFormatError) as exc:
+        load_corpus(path, "jsonl")
+    assert str(exc.value) == f"{path}: line 2: 'text' must be a string, not {kind}"
+
+
 def test_load_corpus_unknown_format():
     with pytest.raises(ValueError):
         load_corpus(data.msmarco_corpus_path(), "csv")

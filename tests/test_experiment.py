@@ -570,6 +570,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", ["null", '["Costa", "Rica"]', "7"])
+def test_cli_jsonl_text_that_is_not_a_string_is_a_config_error(tmp_path, capsys, text):
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text('{"id": 0, "text": %s}\n' % text, encoding="utf-8")
+    argv = ["check", "--seed", "0", "--format", "jsonl", "--corpus", str(corpus_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus_path}: line 1: 'text' must be a string")
+    assert "Traceback" not in err
+
+
 def test_cli_aggregate_roundtrip(tmp_path):
     vectors = tmp_path / "vectors.jsonl"
     with open(vectors, "w", encoding="utf-8") as handle:

@@ -92,6 +92,15 @@ def test_message_count_law(n):
     assert transcript.count(MessageKind.AGGREGATE) == n
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_count_builds_no_messages(n):
+    _, transcript = run_round(random_secrets(n, 6, seed=n), RoundConfig(seed=n))
+    assert transcript.count(MessageKind.SHARE) == n * (n - 1)
+    assert transcript.count(MessageKind.OBFUSCATED) == n
+    assert transcript.count(MessageKind.AGGREGATE) == n
+    assert "messages" not in vars(transcript)
+
+
 @pytest.mark.parametrize("n, share_range", [(8, 100.0), (45, 1e6), (13, 13801.6)])
 def test_delivery_schedules_agree_on_aggregate(n, share_range):
     secrets = random_secrets(n, 12, seed=21)
