@@ -7,7 +7,8 @@ how many of her documents carry each keyword in their primary keyword set.
 Posterior scores are likelihood times prior; the marginal evidence term is
 a constant and is never computed, since only the ranking matters.
 ``rank_rounds`` is the one path from summed likelihoods to rankings: the
-federated rounds, the oracle and ``fedtrend rank`` all go through it.
+federated rounds, ``baselines.centralized_oracle`` and ``fedtrend rank``
+all go through it.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ __all__ = [
 
 _SIMPLEX_TOLERANCE = 1e-12
 
-#: Grid pitch used to round aggregates before ranking.  The federated
-#: aggregate and the oracle are the same exact sum of encoded likelihoods,
-#: so this grid does not decide oracle agreement.  It keeps rationally tied
-#: coordinates (1/3 + 1/6 against 1/2) tied: after per-user rounding onto
-#: ``secagg``'s 2**-f grid such sums can differ by a few 2**-f steps, far
-#: below this pitch and below any genuine score separation.
+#: Grid pitch used to round aggregates before ranking.  The oracle compares
+#: each round's aggregate with the share-free sum bit for bit, before this
+#: grid.  Its job is to keep rationally tied coordinates (1/3 + 1/6 against
+#: 1/2) tied: after per-user rounding onto ``secagg``'s 2**-f grid such sums
+#: can differ by a few 2**-f steps, far below this pitch and below any
+#: genuine score separation.
 DEFAULT_SCORE_RESOLUTION = 1e-9
 
 
@@ -97,16 +98,15 @@ class PosteriorRanking:
         return self.order.index(j) + 1
 
 
-def _descending_order(by_keyword, values, weights) -> tuple[int, ...]:
-    """Indices by non-increasing ``values * weights``, ties in the order of
-    ``by_keyword``, the vocabulary's lexicographic order.
+def _descending_order(by_keyword, products, values, weights) -> tuple[int, ...]:
+    """Indices by non-increasing ``products``, the rounded ``values *
+    weights`` as stored in ``scores``, ties in the order of ``by_keyword``,
+    the vocabulary's lexicographic order.
 
-    Ranks on the rounded products, as stored in ``scores``, except that a
-    product that underflowed (nonzero factors, below the smallest normal
+    A product that underflowed (nonzero factors, below the smallest normal
     double) is compared by its exact value, which only ever splits ties of
     the rounded products.
     """
-    products = np.multiply(values, weights)
     values, weights = np.broadcast_arrays(values, weights)
     tiny = np.finfo(np.float64).tiny
     underflowed = (products > -tiny) & (products < tiny) & (values != 0)
@@ -191,7 +191,7 @@ def posterior_scores(
         raise ValueError("aggregated likelihood and prior use different vocabularies")
     values = aggregated_likelihood.values
     scores = freeze(values * prior.p)
-    order = _descending_order(prior.vocab.by_keyword, values, prior.p)
+    order = _descending_order(prior.vocab.by_keyword, scores, values, prior.p)
     return PosteriorRanking(vocab=prior.vocab, scores=scores, order=order)
 
 

@@ -4,7 +4,8 @@ Subcommands:
   run        full experiment: corpus -> likelihoods -> secure round -> rankings
   aggregate  secure aggregation only, over a JSONL file of vectors
   rank       Bayes ranking only, over a JSONL file of likelihood vectors
-  check      assert the federated ranking equals the centralized oracle
+  check      assert each round's aggregate equals the share-free sum of the
+             encoded likelihoods, bit for bit (so the rankings are equal)
 
 ``COMMANDS`` lists them as (name, help, add_flags, handler). ``main``
 builds the parser of the command named first alone, and of all four for
@@ -156,7 +157,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         secrets = [lk.values for lk in result.likelihoods]
         print(_raw_error_line(result.aggregate, secrets, result.config.share_range))
         return EXIT_OK
-    print("oracle check FAILED: federated and centralized rankings differ", file=sys.stderr)
+    failed = "a round's aggregate differs from the share-free sum of the encoded likelihoods"
+    print(f"oracle check FAILED: {failed}", file=sys.stderr)
     return EXIT_MISMATCH
 
 

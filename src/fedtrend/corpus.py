@@ -36,7 +36,6 @@ __all__ = [
     "preprocess_corpus",
     "primary_keyword_set",
     "read_lines",
-    "tokenize",
 ]
 
 #: Corpus file formats that ``load_corpus`` reads.
@@ -196,10 +195,6 @@ def load_idf_table(path: str | Path) -> VocabularyIndex:
     return vocab
 
 
-#: ``preprocess_corpus`` settings under which it only tokenizes.
-_TOKENIZE_ONLY = PreprocessConfig(stopwords=frozenset(), lemmatize=False)
-
-
 def default_preprocess_config(lemmatize: bool = True) -> PreprocessConfig:
     """Config backed by the bundled stopword list."""
     from . import data
@@ -216,19 +211,6 @@ def default_preprocess_config(lemmatize: bool = True) -> PreprocessConfig:
 
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
-
-
-def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase, split on Unicode whitespace, strip punctuation.
-
-    Each chunk loses its leading and trailing punctuation (any Unicode
-    ``P*`` category), then its interior punctuation except hyphens
-    ("victim-offender" style compounds stay intact).  This is
-    ``preprocess_corpus`` of one text with no stopwords or lemmas, so
-    punctuation is looked up once per call, over the text's characters.
-    """
-    (doc,) = preprocess_corpus([Document(id="", raw_text=text)], _TOKENIZE_ONLY)
-    return doc.tokens
 
 
 _SIBILANT_STEMS = ("x", "z", "ch", "sh", "ss")
@@ -270,10 +252,15 @@ def lemmatize(word: str) -> str:
 
 
 def preprocess_corpus(docs: Sequence[Document], cfg: PreprocessConfig) -> list[Document]:
-    """``docs`` with tokens populated, in one pass over the corpus: one
-    table drops all its punctuation but hyphens, and stripping hyphens from
-    each chunk's ends then equals ``tokenize``'s rule.  Each distinct chunk
-    is stopword-filtered, lemmatized and filtered again once, into a table
+    """``docs`` with tokens populated, in one pass over the corpus.
+
+    Each text is lowercased and split on Unicode whitespace.  Each chunk
+    loses its leading and trailing punctuation (any Unicode ``P*``
+    category), then its interior punctuation except hyphens
+    ("victim-offender" style compounds stay intact): one table drops all
+    the corpus's punctuation but hyphens, and stripping hyphens from each
+    chunk's ends then gives that rule.  Each distinct chunk is
+    stopword-filtered, lemmatized and filtered again once, into a table
     that maps every chunk of a document to its token ("" drops it)."""
     lowered = [doc.raw_text.lower() for doc in docs]
     chars = set().union(*lowered)

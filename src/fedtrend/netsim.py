@@ -32,6 +32,7 @@ import binascii
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -99,7 +100,8 @@ class Transcript:
     ``parts`` are callables that yield the same sends, (round, sender,
     receiver, kind, payload) with str node names, on every call; in order
     they make up ``messages``, which ``messages=None`` builds on first read
-    and keeps.  ``write_transcript`` streams the parts instead.
+    and keeps.  ``write_transcript``, ``count`` and
+    ``transcript_privacy_check`` stream the parts instead.
     """
 
     n_users: int
@@ -353,25 +355,15 @@ def transcript_privacy_check(
         for values in (s.values, encoded[i])
     }
     violations: list[tuple[int, str]] = []
-    for idx, msg in enumerate(transcript.messages):
-        if (
-            msg.kind is MessageKind.SHARE
-            and msg.sender != AGGREGATOR_ID
-            and msg.receiver != AGGREGATOR_ID
-        ):
-            if np.any(msg.payload < -d) or np.any(msg.payload > d):
-                violations.append(
-                    (idx, f"share from {msg.sender} to {msg.receiver} outside [-D, D]")
-                )
-        owner = secret_owner.get(_canonical_bytes(msg.payload))
-        if owner is not None and msg.receiver != owner:
-            violations.append(
-                (
-                    idx,
-                    f"{msg.kind.value} message from {msg.sender} to {msg.receiver} "
-                    f"equals the raw vector of user {owner}",
-                )
-            )
+    sends = (send for part in transcript.parts for send in part())  # no messages kept
+    for idx, (_, sender, receiver, kind, payload) in enumerate(sends):
+        if kind is MessageKind.SHARE and AGGREGATOR_ID not in (sender, receiver):
+            if np.any(payload < -d) or np.any(payload > d):
+                violations.append((idx, f"share from {sender} to {receiver} outside [-D, D]"))
+        owner = secret_owner.get(_canonical_bytes(payload))
+        if owner is not None and receiver != owner:
+            reason = f"{kind.value} message from {sender} to {receiver} equals"
+            violations.append((idx, f"{reason} the raw vector of user {owner}"))
     return PrivacyReport(violations=tuple(violations))
 
 
@@ -459,18 +451,36 @@ def _read_record(path: str | Path, lineno: int, line: bytes, parse):
         raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
 
+def _integer(rec: dict, name: str, low: int) -> int:
+    """Field ``name`` of ``rec``, a JSON integer (not a boolean) >= ``low``."""
+    value = rec[name]
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name!r} must be an integer >= {low}, not {value!r}")
+    return value
+
+
+def _parse_header(rec: dict) -> Transcript:
+    """The header's round parameters, with no messages: N, d >= 1 and seed
+    >= 0 JSON integers, D a JSON number with 0 < D < inf as in ``RoundConfig``."""
+    n, dim, share_range = _integer(rec, "N", 1), _integer(rec, "d", 1), rec["D"]
+    # an int past the largest double is no finite double either
+    if type(share_range) not in (int, float) or not 0 < share_range <= sys.float_info.max:
+        raise ValueError(f"'D' must be a positive finite number, not {share_range!r}")
+    return Transcript(n, dim, float(share_range), _integer(rec, "seed", 0), ())
+
+
 def load_transcript(path: str | Path) -> Transcript:
     """Read a transcript that ``write_transcript`` wrote.  A line that is
-    not UTF-8 JSON or lacks a field, a message of an unknown kind or with a
-    node name other than a string, and a payload other than base64 of
-    exactly d doubles raise ``ValueError`` naming the path and the line."""
+    not UTF-8 JSON or lacks a field, a header that ``_parse_header``
+    rejects, a round that is not a JSON integer >= 0, a message of an
+    unknown kind or with a node name other than a string, and a payload
+    other than base64 of exactly d doubles raise ``ValueError`` naming the
+    path and the line."""
     with open(path, "rb") as handle:  # json.loads decodes each line
-        header = _read_record(path, 1, handle.readline(), lambda rec: Transcript(
-            int(rec["N"]), int(rec["d"]), float(rec["D"]), int(rec["seed"]), ()
-        ))
+        header = _read_record(path, 1, handle.readline(), _parse_header)
         messages = tuple(
             _read_record(path, lineno, line, lambda rec: Message(
-                int(rec["round"]), rec["from"], rec["to"], MessageKind(rec["kind"]),
+                _integer(rec, "round", 0), rec["from"], rec["to"], MessageKind(rec["kind"]),
                 _parse_payload(rec["payload"], header.dim),
             ))
             for lineno, line in enumerate(handle, start=2)

@@ -22,7 +22,6 @@ from fedtrend.corpus import (
     preprocess,
     preprocess_corpus,
     primary_keyword_set,
-    tokenize,
 )
 
 IDENTITY_CFG = PreprocessConfig(stopwords=frozenset(), lemmatize=False)
@@ -251,7 +250,7 @@ def test_preprocess_token_invariants(text):
 
 
 def _reference_clean_chunk(chunk):
-    # The per-character rule tokenize must reproduce: strip leading and
+    # The per-character rule preprocess_corpus must reproduce: strip leading and
     # trailing punctuation, then drop interior punctuation except hyphens.
     def is_punct(ch):
         return unicodedata.category(ch).startswith("P")
@@ -277,9 +276,10 @@ PUNCTUATED_TEXT = st.text(
 
 @settings(max_examples=300)
 @given(st.one_of(st.text(max_size=80), PUNCTUATED_TEXT))
-def test_tokenize_matches_per_character_rule(text):
+def test_preprocess_corpus_matches_per_character_rule(text):
     chunks = (_reference_clean_chunk(c) for c in text.lower().split())
-    assert tokenize(text) == tuple(t for t in chunks if t)
+    (doc,) = preprocess_corpus([Document(id="0", raw_text=text)], IDENTITY_CFG)
+    assert doc.tokens == tuple(t for t in chunks if t)
 
 
 # Texts whose punctuation differs from document to document, final sigmas,
@@ -477,6 +477,9 @@ def test_shipped_idf_covers_every_corpus_token(msmarco_docs, msmarco_vocab):
     assert tokens <= set(msmarco_vocab.keywords)
 
 
-def test_tokenize_is_pure():
-    assert tokenize("A b-c, d!") == ("a", "b-c", "d")
-    assert tokenize("") == ()
+def test_preprocess_corpus_is_pure():
+    docs = [Document(id="0", raw_text="A b-c, d!"), Document(id="1", raw_text="")]
+    done = preprocess_corpus(docs, IDENTITY_CFG)
+    assert [d.tokens for d in done] == [("a", "b-c", "d"), ()]
+    assert [d.tokens for d in docs] == [(), ()]
+    assert preprocess_corpus(docs, IDENTITY_CFG) == done

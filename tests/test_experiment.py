@@ -162,14 +162,44 @@ def test_experiment_two_rounds_matches_product_oracle(experiment_config):
 
 def test_oracle_sums_the_encoded_likelihoods(experiment_config):
     # at D = 1e12 with 60 users the grid step is 2**-6, so encoding visibly
-    # moves the likelihoods; the oracle sums the same encodings
+    # moves the likelihoods; the aggregate is the share-free sum of the encodings
     result = run_experiment(experiment_config(seed=2, n_users=60, share_range=1e12))
-    assert result.posterior.scores.tobytes() == result.oracle.scores.tobytes()
+    secrets = [lk.values for lk in result.likelihoods]
+    exact = secagg.encoded_sum(secrets, 1e12)
+    assert result.aggregate.values.tobytes() == exact.tobytes()
+    assert result.meta["oracle_match"]
     raw = baselines.centralized_oracle(
         result.user_docs, result.vocab, k=5, prior=result.initial_prior,
         resolution=result.config.score_resolution,
     )
-    assert raw.scores.tobytes() != result.oracle.scores.tobytes()
+    assert raw.scores.tobytes() != result.posterior.scores.tobytes()
+
+
+@pytest.mark.parametrize("rounds, nudged", [(1, 0), (2, 0), (2, 1)])
+def test_oracle_sees_an_aggregate_one_ulp_off(monkeypatch, capsys, rounds, nudged):
+    honest = run_experiment(make_experiment_config(rounds=rounds))
+    run_round = netsim.run_round
+
+    def nudging(secrets, cfg, round_index=0):
+        aggregate, transcript = run_round(secrets, cfg, round_index)
+        if round_index == nudged:  # one ulp up on the top coordinate
+            values = aggregate.values.copy()
+            top = int(np.argmax(values))
+            values[top] = np.nextafter(values[top], np.inf)
+            aggregate = secagg.FeatureVector(values=values, bounds=aggregate.bounds)
+        return aggregate, transcript
+
+    monkeypatch.setattr(netsim, "run_round", nudging)
+    result = run_experiment(make_experiment_config(rounds=rounds))
+    # the score grid hides the ulp from the ranking, not from the oracle
+    assert result.posterior.order == honest.posterior.order
+    assert result.meta["oracle_match"] is False
+    assert cli.main(["check", "--users", "10", "--seed", "0", "--rounds", str(rounds)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "oracle check FAILED: a round's aggregate differs from the share-free sum "
+        "of the encoded likelihoods\n",
+    )
 
 
 def test_experiment_round_one_prior_reinforcement(experiment_config):

@@ -363,6 +363,25 @@ def test_privacy_sweep_small():
         assert transcript_privacy_check(transcript, secrets).ok
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_privacy_check_builds_no_messages(n):
+    secrets = random_secrets(n, 4, seed=n)
+    _, transcript = run_round(secrets, RoundConfig(seed=n))
+    leak = (0, "1", AGGREGATOR_ID, MessageKind.OBFUSCATED, secrets[1].values)
+    wide = (0, "0", "1", MessageKind.SHARE, np.full(4, 250.0))
+    planted = Transcript(n, 4, 100.0, n, None, transcript.parts + (lambda: (leak, wide),))
+    report = transcript_privacy_check(planted, secrets)
+    assert report.violations == (
+        (n * n + n, "Obfuscated message from 1 to aggregator equals the raw vector of user 1"),
+        (n * n + n + 1, "share from 0 to 1 outside [-D, D]"),
+    )
+    assert transcript_privacy_check(transcript, secrets).ok
+    assert "messages" not in vars(planted) and "messages" not in vars(transcript)
+    # the same violations, at the same indices, as over the built messages
+    built = Transcript(n, 4, 100.0, n, planted.messages)
+    assert transcript_privacy_check(built, secrets) == report
+
+
 def test_planted_raw_vector_leak_is_flagged():
     secrets = random_secrets(3, 4, seed=1)
     _, transcript = run_round(secrets, RoundConfig(seed=1))
@@ -756,10 +775,43 @@ def test_load_transcript_rejects_malformed_payload(tmp_path, payload, reason):
         ),
         (0, "garbage\n", r"not JSON \(Expecting value"),
         (0, '{"N": 2, "D": 100.0, "seed": 5}\n', r"missing field 'd'$"),
+        (0, '{"N": 2.7, "d": 2, "D": 100.0, "seed": 5}\n', r"'N' must be an integer >= 1, not 2\.7$"),
+        (0, '{"N": 0, "d": 2, "D": 100.0, "seed": 5}\n', r"'N' must be an integer >= 1, not 0$"),
+        (0, '{"N": Infinity, "d": 2, "D": 100.0, "seed": 5}\n', r"'N' must be an integer >= 1, not inf$"),
+        (0, '{"N": 2, "d": true, "D": 100.0, "seed": 5}\n', r"'d' must be an integer >= 1, not True$"),
+        (0, '{"N": 2, "d": 0, "D": 100.0, "seed": 5}\n', r"'d' must be an integer >= 1, not 0$"),
+        (0, '{"N": 2, "d": 2, "D": 100.0, "seed": "7"}\n', r"'seed' must be an integer >= 0, not '7'$"),
+        (0, '{"N": 2, "d": 2, "D": 100.0, "seed": -1}\n', r"'seed' must be an integer >= 0, not -1$"),
+        (0, '{"N": 2, "d": 2, "D": -5, "seed": 5}\n', r"'D' must be a positive finite number, not -5$"),
+        (0, '{"N": 2, "d": 2, "D": 0.0, "seed": 5}\n', r"'D' must be a positive finite number, not 0\.0$"),
+        (0, '{"N": 2, "d": 2, "D": NaN, "seed": 5}\n', r"'D' must be a positive finite number, not nan$"),
+        (0, '{"N": 2, "d": 2, "D": Infinity, "seed": 5}\n', r"'D' must be a positive finite number, not inf$"),
+        (0, '{"N": 2, "d": 2, "D": 1e400, "seed": 5}\n', r"'D' must be a positive finite number, not inf$"),
+        (0, '{"N": 2, "d": 2, "D": %d, "seed": 5}\n' % 2**1024, r"'D' must be a positive finite number, not 1797"),
+        (0, '{"N": 2, "d": 2, "D": true, "seed": 5}\n', r"'D' must be a positive finite number, not True$"),
+        (0, '{"N": 2, "d": 2, "D": "100", "seed": 5}\n', r"'D' must be a positive finite number, not '100'$"),
+        (
+            3,
+            '{"round": 1.5, "from": "0", "to": "1", "kind": "Share", "payload": ""}\n',
+            r"'round' must be an integer >= 0, not 1\.5$",
+        ),
+        (
+            3,
+            '{"round": true, "from": "0", "to": "1", "kind": "Share", "payload": ""}\n',
+            r"'round' must be an integer >= 0, not True$",
+        ),
+        (
+            3,
+            '{"round": -3, "from": "0", "to": "1", "kind": "Share", "payload": ""}\n',
+            r"'round' must be an integer >= 0, not -3$",
+        ),
     ],
     ids=[
         "not_json", "missing_field", "unknown_kind", "list_name", "header_not_json",
-        "header_without_d",
+        "header_without_d", "float_N", "zero_N", "infinite_N", "boolean_d", "zero_d", "string_seed",
+        "negative_seed", "negative_D", "zero_D", "nan_D", "infinite_D", "overflowing_D",
+        "integer_D_past_the_largest_double", "boolean_D", "string_D", "float_round",
+        "boolean_round", "negative_round",
     ],
 )
 def test_load_transcript_names_the_bad_line(tmp_path, index, line, reason):
