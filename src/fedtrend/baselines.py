@@ -8,13 +8,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bayes import PosteriorRanking, PriorDistribution, local_likelihoods, rank_rounds
-from .corpus import Document, VocabularyIndex, document_columns
+from .corpus import Document, VocabularyIndex, document_columns, term_columns
 from .secagg import FeatureVector, exact_sum
 
 __all__ = [
     "CountRanking",
     "centralized_oracle",
     "local_top_keyword",
+    "local_top_keywords",
     "pooled_likelihood",
     "rank_by_pooled_trend",
     "rank_by_term_totals",
@@ -54,8 +55,8 @@ def rank_by_total_count(
     document multiset (documents sampled more than once count per copy).
     Each distinct document's tokens are counted once, weighted by its
     copies in one ``bincount`` over the pooled copies."""
-    copies, _, terms = document_columns([all_docs], vocab)
-    return rank_by_term_totals(terms.weighted_sum(copies[0]), vocab)
+    copies, _, counts = document_columns([all_docs], vocab)
+    return rank_by_term_totals(term_columns(counts, vocab).weighted_sum(copies[0]), vocab)
 
 
 def rank_by_term_totals(totals: np.ndarray, vocab: VocabularyIndex) -> CountRanking:
@@ -79,11 +80,15 @@ def rank_by_pooled_trend(local_tops: Sequence[str]) -> CountRanking:
 def local_top_keyword(likelihood_values: np.ndarray, vocab: VocabularyIndex) -> str | None:
     """Argmax keyword of one user's likelihood vector, ties lexicographic;
     None when the vector is all zeros (nothing to report)."""
-    values = np.asarray(likelihood_values)
-    top = values.max(initial=0.0)
-    if not top > 0:
-        return None
-    return min(vocab.keywords[j] for j in np.flatnonzero(values == top).tolist())
+    return local_top_keywords([likelihood_values], vocab)[0]
+
+
+def local_top_keywords(likelihoods, vocab: VocabularyIndex) -> list[str | None]:
+    """``local_top_keyword`` of each row of ``likelihoods``, in one pass."""
+    order = np.array(vocab.by_keyword, dtype=np.intp)
+    lexical = np.asarray(likelihoods)[:, order]  # argmax takes the first of tied maxima
+    tops, found = order[lexical.argmax(axis=1)], lexical.max(axis=1) > 0  # NaN is no top
+    return [vocab.keywords[j] if ok else None for j, ok in zip(tops.tolist(), found.tolist())]
 
 
 def pooled_likelihood(

@@ -4,6 +4,7 @@ The prior over keywords is the mean of a Dirichlet parametrized by IDF
 weights, so historically common words start with low trend probability.
 Each user's likelihood vector is the mean of a Dirichlet parametrized by
 how many of her documents carry each keyword in their primary keyword set.
+``column_likelihoods`` makes all users' vectors, rows of one array, at once.
 Posterior scores are likelihood times prior; the marginal evidence term is
 a constant and is never computed, since only the ranking matters.
 ``rank_rounds`` is the one path from summed likelihoods to rankings: the
@@ -154,20 +155,18 @@ def column_likelihoods(
     primary: DocumentColumns, copies: np.ndarray, alpha0: float = 0.0
 ) -> list[LikelihoodVector]:
     """``local_likelihoods`` from primary keyword columns and one row of
-    copies per user: one weighted ``bincount`` per user, exact integers
-    until the final division."""
+    copies per user: one weighted ``bincount`` for all users, exact integers
+    until the final division, and each user's vector a row of one frozen
+    array."""
     if alpha0 < 0:
         raise ValueError("alpha0 must be nonnegative")
-    likelihoods = []
-    for i, user_copies in enumerate(copies):
-        counts = primary.weighted_sum(user_copies)
-        if alpha0 > 0:
-            counts += alpha0
-        total = float(counts.sum())
-        values = freeze(counts / total if total > 0 else counts)
-        fv = FeatureVector(values=values, bounds=(0.0, 1.0))
-        likelihoods.append(LikelihoodVector(user_id=str(i), values=fv))
-    return likelihoods
+    counts = primary.weighted_sum(copies)
+    if alpha0 > 0:
+        counts += alpha0
+    totals = counts.sum(axis=1, keepdims=True)
+    values = freeze(counts / np.where(totals > 0, totals, 1.0))  # all-zero rows stay 0
+    vectors = (FeatureVector(values=row, bounds=(0.0, 1.0)) for row in values)
+    return [LikelihoodVector(user_id=str(i), values=fv) for i, fv in enumerate(vectors)]
 
 
 def compute_local_likelihood(

@@ -36,6 +36,7 @@ __all__ = [
     "preprocess_corpus",
     "primary_keyword_set",
     "read_lines",
+    "term_columns",
 ]
 
 #: Corpus file formats that ``load_corpus`` reads.
@@ -316,21 +317,24 @@ class DocumentColumns:
         self.count, self.size = np.asarray(count, np.int64), size
 
     def weighted_sum(self, copies: np.ndarray) -> np.ndarray:
-        """Entry j: sum over documents d of copies[d] * (count of j in d);
+        """Entry j: sum over documents d of copies[d] * (count of j in d), or
+        a row of such sums per row of a 2-D ``copies``, in one ``bincount``;
         integers, so exact in float64 below 2**53."""
-        weights = self.count * copies[self.doc]
-        sums = np.bincount(self.col, weights=weights, minlength=self.size)
-        return sums.astype(np.float64, copy=False)  # an empty input gives int64
+        stack = np.atleast_2d(copies)
+        cells = np.arange(len(stack))[:, None] * self.size + self.col
+        weights = (self.count * stack[:, self.doc]).ravel()
+        sums = np.bincount(cells.ravel(), weights, len(stack) * self.size)  # int64 if empty
+        return sums.astype(np.float64, copy=False).reshape(*np.shape(copies)[:-1], self.size)
 
 
 def document_columns(
     groups: Sequence[Sequence[Document]], vocab: VocabularyIndex, k: int = 5
-) -> tuple[np.ndarray, DocumentColumns, DocumentColumns]:
-    """``(copies, primary, terms)``: ``copies[g, d]`` is how often group g
+) -> tuple[np.ndarray, DocumentColumns, list[Counter]]:
+    """``(copies, primary, counts)``: ``copies[g, d]`` is how often group g
     holds distinct document d (told apart by value; hashed once per object,
-    not per copy).  One ``Counter`` of d's tokens gives ``primary``, 1 per
-    keyword of its primary keyword set, and ``terms``, its occurrences of
-    each keyword.  Tokens outside ``vocab`` have no column."""
+    not per copy).  ``counts[d]``, the one ``Counter`` of d's tokens, gives
+    ``primary``, 1 per keyword of its primary keyword set, and on demand its
+    ``term_columns``.  Tokens outside ``vocab`` have no column."""
     flat = list(chain.from_iterable(groups))
     objects = dict(zip(map(id, flat), flat))  # one entry per distinct object
     distinct: dict[Document, int] = {}
@@ -340,19 +344,20 @@ def document_columns(
     cells = group * len(distinct) + slots
     copies = np.bincount(cells, minlength=len(groups) * len(distinct))
     index = vocab._index
-    primary, terms = ([], [], []), ([], [], [])
-    for d, doc in enumerate(distinct):
-        counts = Counter(doc.tokens)
-        top = [j for j in map(index.get, _top_k(counts, k)) if j is not None]
-        known = counts.keys() & index.keys()
-        primary[0].extend([d] * len(top))
-        primary[1].extend(top)
-        primary[2].extend([1] * len(top))
-        terms[0].extend([d] * len(known))
-        terms[1].extend(map(index.get, known))
-        terms[2].extend(map(counts.get, known))
-    return (
-        copies.reshape(len(groups), len(distinct)),
-        DocumentColumns(*primary, len(vocab)),
-        DocumentColumns(*terms, len(vocab)),
-    )
+    counts = [Counter(doc.tokens) for doc in distinct]
+    tops = [[j for j in map(index.get, _top_k(c, k)) if j is not None] for c in counts]
+    docs, cols = [d for d, top in enumerate(tops) for _ in top], list(chain.from_iterable(tops))
+    primary = DocumentColumns(docs, cols, [1] * len(cols), len(vocab))
+    return copies.reshape(len(groups), len(distinct)), primary, counts
+
+
+def term_columns(counts: Sequence[Counter], vocab: VocabularyIndex) -> DocumentColumns:
+    """Each keyword's occurrences in document d, whose tokens ``counts[d]`` counts."""
+    index = vocab._index
+    doc, col, count = [], [], []
+    for d, tokens in enumerate(counts):
+        known = tokens.keys() & index.keys()
+        doc.extend([d] * len(known))
+        col.extend(map(index.get, known))
+        count.extend(map(tokens.get, known))
+    return DocumentColumns(doc, col, count, len(vocab))

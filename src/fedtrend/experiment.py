@@ -2,8 +2,9 @@
 
 Loads a corpus, IDF table and stopwords, samples virtual users, runs the
 federated pipeline (preprocess -> per-user likelihoods -> secure
-aggregation round -> posterior ranking) together with both non-private
-baselines, and writes rankings, the protocol transcript, and run metadata.
+aggregation round -> posterior ranking), and writes rankings, the protocol
+transcript, and run metadata.  The two non-private baselines, which only
+``rankings.md`` shows, are built when first read: ``check`` builds neither.
 The oracle, ``meta["oracle_match"]``, holds when every round's aggregate
 equals the share-free sum of the encoded likelihoods
 (``secagg.encoded_sum``) bit for bit; equal sums rank equally.
@@ -11,6 +12,7 @@ equals the share-free sum of the encoded likelihoods
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -104,10 +106,25 @@ class ExperimentResult:
     aggregate: secagg.FeatureVector
     validation: secagg.RangeReport
     posterior: bayes.PosteriorRanking
-    count_ranking: baselines.CountRanking
-    pooled_ranking: baselines.CountRanking
     transcript: netsim.Transcript
+    #: ``copies`` and ``counts`` of ``corpus.document_columns`` over ``user_docs``
+    copies: np.ndarray
+    counts: list
     meta: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def count_ranking(self) -> baselines.CountRanking:
+        """The total-count baseline over every user's documents."""
+        terms = corpus.term_columns(self.counts, self.vocab)
+        totals = terms.weighted_sum(self.copies.sum(axis=0))
+        return baselines.rank_by_term_totals(totals, self.vocab)
+
+    @functools.cached_property
+    def pooled_ranking(self) -> baselines.CountRanking:
+        """The pooled-trend baseline: the users' votes for their top keyword."""
+        rows = [lk.values.values for lk in self.likelihoods]
+        tops = baselines.local_top_keywords(rows, self.vocab)
+        return baselines.rank_by_pooled_trend([top for top in tops if top is not None])
 
 
 def build_vocabulary(
@@ -173,10 +190,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # by the extra entropy word.
     sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 1)))
     user_docs = sample_user_documents(documents, cfg.n_users, sample_rng)
-    copies, primary, terms = corpus.document_columns(user_docs, vocab, cfg.k)
+    copies, primary, counts = corpus.document_columns(user_docs, vocab, cfg.k)
     likelihoods = bayes.column_likelihoods(primary, copies, cfg.alpha0)
-    term_totals = terms.weighted_sum(copies.sum(axis=0))
-    del copies, primary, terms  # only their sums live through the rounds
     secrets = [lk.values for lk in likelihoods]
 
     round_cfg = cfg.round_config()
@@ -199,14 +214,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
     except ValueError as exc:  # all-zero scores leave the next round no prior
         raise ConfigError(f"--rounds {cfg.rounds}: {exc} under {cfg.idf_path}") from exc
-
-    count_ranking = baselines.rank_by_term_totals(term_totals, vocab)
-    tops = [
-        top
-        for lk in likelihoods
-        if (top := baselines.local_top_keyword(lk.values.values, vocab)) is not None
-    ]
-    pooled_ranking = baselines.rank_by_pooled_trend(tops)
 
     final = posteriors[-1]
     merged = netsim.Transcript(
@@ -236,9 +243,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         aggregate=aggregate,
         validation=validation,
         posterior=final,
-        count_ranking=count_ranking,
-        pooled_ranking=pooled_ranking,
         transcript=merged,
+        copies=copies,
+        counts=counts,
         meta=meta,
     )
 

@@ -9,10 +9,10 @@ result.  Delivery order within each phase follows the configured schedule
 because every sum of the round is exact on ``secagg``'s grid.
 
 ``run_round`` runs a round in O(N·d) memory: it adds each user's block of
-shares into the obfuscated vectors as integer grid steps, drops it, and
+shares into the int64 grid steps of the encoded secrets, drops it, and
 draws it again from her seed when the transcript is read.
-``inject_adversary`` runs that round and rewrites, on the wire, the
-messages that one misbehaving user changes.
+``inject_adversary`` rewrites that round's sends, as they are read, where
+one misbehaving user changes them.
 
 Every transcript is one stream of sends, (round, sender, receiver, kind,
 payload) tuples that a ``Message`` also unpacks to.  ``write_transcript``
@@ -162,7 +162,8 @@ def _schedule(batches: list[list], delivery: str, rng) -> list:
 
 def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
     """The ``SeedSequence``s of a round's N users over ``secrets``, the one
-    of its delivery order, and the bits f of its grid.
+    of its delivery order, the bits f of its grid, and the ``encode_steps``
+    of the secrets, one row each.
 
     The one check of a round's inputs: ``ValueError`` unless there is at
     least one user, the secrets share one dimension d >= 1 and one pair of
@@ -177,16 +178,14 @@ def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index
     bounds = {s.bounds for s in secrets}
     if len(bounds) != 1:
         raise ValueError("all secrets must declare the same bounds")
-    a, b = bounds.pop()
-    low, high = math.inf, -math.inf
-    for i, s in enumerate(secrets):
-        s_low, s_high = float(s.values.min()), float(s.values.max())
-        if not a <= s_low <= s_high <= b:  # NaN fails too
-            raise ValueError(f"secret of user {i} violates its declared bounds")
-        low, high = min(low, s_low), max(high, s_high)
+    (a, b), values = bounds.pop(), np.array([s.values for s in secrets])
+    low, high = float(values.min()), float(values.max())
+    if not a <= low <= high <= b:  # NaN fails too
+        i = np.flatnonzero(~((values >= a) & (values <= b)).all(axis=1))[0]
+        raise ValueError(f"secret of user {i} violates its declared bounds")
     f = secagg.check_grid(n, cfg.share_range, (a, b), (low, high))
     *users, deliver = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
-    return users, deliver, f
+    return users, deliver, f, secagg.encode_steps(values, (a, b), f)
 
 
 # Share rows the round-robin writer holds over all senders: up to N = 22 a
@@ -199,19 +198,25 @@ def run_round(
 ) -> tuple[FeatureVector, Transcript]:
     """Run one honest aggregation round over the users' secret vectors, in
     O(N·d) memory; ``ValueError`` for inputs that no round can take."""
-    seeds, deliver_seed, f = _round_seeds(secrets, cfg, round_index)
-    n, d, share_range = len(seeds), len(secrets[0]), cfg.share_range
-    net = np.zeros((n, d), dtype=np.int64)  # row k: steps received - steps sent
+    seeds, deliver_seed, f, encoded = _round_seeds(secrets, cfg, round_index)
+    n, d, share_range, bounds = len(seeds), encoded.shape[1], cfg.share_range, secrets[0].bounds
+    # row k: steps of her encoded secret + steps received - steps sent
+    net, sent = encoded.astype(np.int64), np.empty((n, d), dtype=np.int64)
     for i, seed in enumerate(seeds):
         steps = secagg.share_steps(np.random.default_rng(seed), (n, d), share_range, f)
-        steps[i] = 0  # the residual stays with its owner
-        net += steps
-        net[i] -= steps.sum(axis=0)
-    obfuscated = secagg.encode([s.values for s in secrets], secrets[0].bounds, f)
-    if n > 1:  # adding +0.0 would turn a lone user's encoded -0.0 into +0.0
-        # exact: every sum is below 2**53 steps
-        obfuscated = secagg.freeze(obfuscated + np.ldexp(net, -f))
-    result = secagg.aggregate(list(obfuscated), secrets[0].bounds)
+        net += steps  # the owner's own row, the residual she keeps, cancels in sent
+        steps.sum(axis=0, out=sent[i])
+    net -= sent
+    if n == 1:  # a lone user sends her encoded secret, -0.0 and all
+        obfuscated = secagg.freeze(np.ldexp(encoded, -f))
+        result = FeatureVector(obfuscated[0], bounds)
+    elif not secagg.overflow_grid(n, f):  # exact: every sum is below 2**53 steps
+        obfuscated = secagg.freeze(np.ldexp(net, -f))
+        total = secagg.freeze(np.ldexp(net.sum(axis=0), -f))
+        result = FeatureVector(total, (n * bounds[0], n * bounds[1]))
+    else:  # the doubles' sums, which may overflow where the steps' do not
+        obfuscated = secagg.freeze(np.ldexp(encoded, -f) + np.ldexp(net - encoded, -f))
+        result = secagg.aggregate(list(obfuscated), bounds)
 
     def sends():  # the shares drawn again from the seeds
         names = (*map(str, range(n)), AGGREGATOR_ID)
@@ -283,34 +288,30 @@ def inject_adversary(
     _, honest = run_round(secrets, cfg)
     if not 0 <= coordinate < honest.dim:
         raise ValueError("coordinate index out of range")
+    (part,) = honest.parts  # its sends, drawn again from the seeds on each call
     a, b = secrets[0].bounds
     sender, peer = str(adversary), str(int(adversary == 0))
     if behavior is AdversaryBehavior.INFLATE_COORDINATE:
         gains = {(sender, AGGREGATOR_ID): n * (b - a) + 1.0 if amount is None else amount}
     else:
-        share = next(m for m in honest.messages if (m.sender, m.receiver) == (sender, peer))
-        excess = 2.0 * cfg.share_range - share.payload[coordinate]
+        share = next(p for _, s, t, _, p in part() if (s, t) == (sender, peer))
+        excess = 2.0 * cfg.share_range - share[coordinate]
         gains = {(sender, peer): excess, (peer, AGGREGATOR_ID): excess,
                  (sender, AGGREGATOR_ID): -excess}
 
-    def rewrite(msg: Message) -> Message:
-        gain = gains.get((msg.sender, msg.receiver))
-        if gain is None:
-            return msg
-        values = msg.payload.copy()
-        values[coordinate] += gain
-        return replace(msg, payload=values)
+    def rewritten(broadcast=None):  # the honest sends with the gains, as the wire carries them
+        for r, s, t, kind, payload in part():
+            if kind is MessageKind.AGGREGATE:
+                payload = broadcast
+            elif (s, t) in gains:
+                payload = payload.copy()
+                payload[coordinate] += gains[s, t]
+                secagg.freeze(payload)
+            yield r, s, t, kind, payload
 
-    sent = [rewrite(m) for m in honest.messages if m.kind is not MessageKind.AGGREGATE]
-    result = secagg.aggregate(
-        [m.payload for m in sent if m.kind is MessageKind.OBFUSCATED], (a, b)
-    )
-    broadcasts = [
-        replace(m, payload=result.values)
-        for m in honest.messages
-        if m.kind is MessageKind.AGGREGATE
-    ]
-    transcript = replace(honest, messages=tuple(sent + broadcasts))
+    sent = [p for _, _, _, kind, p in rewritten() if kind is MessageKind.OBFUSCATED]
+    result = secagg.aggregate(sent, (a, b))
+    transcript = replace(honest, messages=None, parts=(lambda: rewritten(result.values),))
     return result, transcript, secagg.validate_aggregate(result, n, (a, b))
 
 

@@ -15,14 +15,13 @@ above D, where every share would be 0 and each vector would travel
 unmasked, a step below 2**-1074, where not every grid point is a double,
 and a grid with no point inside (a, b); ``check_grid`` also refuses the
 grids that would lose what a round's secrets carry.  A round derives f
-once, in ``check_grid`` or ``grid_bits``, and ``encode`` rounds all its
-vectors onto the grid points inside (a, b) in one call (an error of at
+once, in ``check_grid`` or ``grid_bits``, and ``encode_steps`` rounds all
+its vectors onto the grid points inside (a, b) in one call (an error of at
 most 2**-(f+1) per entry, or below 2**-f next to a bound off the grid);
-shares are uniform grid points in [-D, D].  Each partial sum of a user's
-shares is then an integer multiple of 2**-f below 2**53 of them, so double
-addition is exact in any order, and the correctly rounded ``exact_sum``
-gives the aggregate exactly whatever the order of its vectors.  The
-aggregate equals the exact sum of the encoded vectors, ``encoded_sum``.
+shares are uniform grid points in [-D, D].  A round sums int64 counts of
+grid steps below 2**53, exact in any order, so its aggregate is the exact
+sum of the encoded vectors, ``encoded_sum``.  On an ``overflow_grid`` both
+sum the doubles through ``exact_sum``, which overflows where steps would not.
 
 Arrays have one owner: the code that makes an array freezes it once, in
 place with ``freeze``, and every consumer shares it by reference.  Each
@@ -51,6 +50,7 @@ __all__ = [
     "check_grid",
     "combine_received",
     "encode",
+    "encode_steps",
     "encoded_sum",
     "exact_sum",
     "freeze",
@@ -58,6 +58,7 @@ __all__ = [
     "grid_bits",
     "make_shares",
     "ordered_sum",
+    "overflow_grid",
     "seeded_rng",
     "share_steps",
     "validate_aggregate",
@@ -184,44 +185,56 @@ def check_grid(n_users: int, share_range: float, bounds: tuple, span: tuple) -> 
     raise _grid_fault(n_users, share_range, f, "coarse", fault)
 
 
-def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:
-    """``values``, one vector or a stack, rounded to the nearest points of
-    the grid 2**-f inside ``bounds``, read-only: what a round's shares sum to."""
+def overflow_grid(n_users: int, f: int) -> bool:
+    """Whether a left-to-right sum of ``n_users`` vectors below 2**53 steps
+    of the grid 2**-f can pass 2**1023, beyond which a double sum may overflow."""
+    return n_users.bit_length() + 53 - f > 1023
+
+
+def encode_steps(values, bounds: tuple[float, float], f: int) -> np.ndarray:
+    """``values``, one vector or a stack, rounded to the nearest points of the
+    grid 2**-f inside ``bounds``, as float64 counts of grid steps below 2**53."""
     a, b = bounds
     low, high = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
     # two ufunc calls take about half the time of np.clip's dispatch
-    steps = np.minimum(np.maximum(np.round(np.ldexp(values, f)), low), high)
-    return freeze(np.ldexp(steps, -f))
+    return np.minimum(np.maximum(np.round(np.ldexp(values, f)), low), high)
+
+
+def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:
+    """``encode_steps`` as doubles, read-only: what a round's shares sum to."""
+    return freeze(np.ldexp(encode_steps(values, bounds, f), -f))
 
 
 def encoded_sum(secrets: Sequence[FeatureVector], share_range: float) -> np.ndarray:
     """The aggregate of an honest round over ``secrets`` with share range
-    ``share_range``, read-only: the exact sum of the encoded secrets."""
-    f = grid_bits(len(secrets), share_range, secrets[0].bounds)
-    return exact_sum(encode([s.values for s in secrets], secrets[0].bounds, f))
+    ``share_range``, read-only: the sum of the encoded secrets, as it sums them."""
+    n, bounds = len(secrets), secrets[0].bounds
+    f = grid_bits(n, share_range, bounds)
+    steps = encode_steps([s.values for s in secrets], bounds, f)
+    if overflow_grid(n, f):
+        return exact_sum(np.ldexp(steps, -f))
+    if n == 1:  # a lone user's aggregate is her encoded vector, -0.0 and all
+        return freeze(np.ldexp(steps[0], -f))
+    return freeze(np.ldexp(steps.astype(np.int64).sum(axis=0), -f))
 
 
 def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Coordinate-wise correctly rounded sum, read-only: it does not depend
     on the order of ``vectors``, and it is exact whenever the exact sum is a
-    double, as it is on a round's grid.
+    double.
 
-    Sums left to right, with Knuth's two-sum error of every addition; a
-    coordinate where some addition rounded is summed again by ``math.fsum``.
-    A coordinate whose sum overflows keeps the left-to-right result.
+    Sums left to right, then by ``math.fsum`` each finite coordinate with
+    more than two nonzero terms.  The others keep the left-to-right result:
+    one rounding of at most two terms, or an overflow.
     """
     total = np.array(vectors[0], dtype=np.float64)
-    rounded = np.zeros(total.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays inf
         for vec in vectors[1:]:
-            partial = total + vec
-            back = partial - total
-            rounded |= (total - (partial - back)) + (vec - back) != 0
-            total = partial
-    redo = np.flatnonzero(rounded & np.isfinite(total))
+            total += vec
+    stack = np.asarray(vectors, dtype=np.float64)
+    redo = np.flatnonzero(np.isfinite(total) & (np.count_nonzero(stack, axis=0) > 2))
     if redo.size:
-        columns = np.stack([np.asarray(vec)[redo] for vec in vectors], axis=1)
-        total[redo] = [math.fsum(column.tolist()) for column in columns]
+        total[redo] = list(map(math.fsum, stack[:, redo].T.tolist()))
     return freeze(total)
 
 

@@ -9,6 +9,7 @@ from fedtrend.baselines import (
     CountRanking,
     centralized_oracle,
     local_top_keyword,
+    local_top_keywords,
     pooled_likelihood,
     rank_by_pooled_trend,
     rank_by_total_count,
@@ -158,6 +159,31 @@ def test_local_top_keyword():
     assert local_top_keyword(np.array([0.5, 0.5, 0.0]), vocab) == "a"  # tie: lexicographic
     assert local_top_keyword(np.zeros(3), vocab) is None
     assert local_top_keyword(np.array([0.1, 0.2, 0.7]), vocab) == "c"
+
+
+def _reference_local_top_keyword(values, vocab):
+    """One user's top keyword as ``local_top_keyword`` found it before the
+    one-pass ``local_top_keywords``, kept as the reference."""
+    values = np.asarray(values)
+    top = values.max(initial=0.0)
+    if not top > 0:
+        return None
+    return min(vocab.keywords[j] for j in np.flatnonzero(values == top).tolist())
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_local_top_keywords_match_the_per_user_reference(data):
+    keywords = data.draw(st.lists(st.text("abAB-", min_size=1, max_size=3), min_size=1,
+                                  max_size=8, unique=True))
+    entries = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0, -1.0, np.nan])
+    row = st.lists(entries, min_size=len(keywords), max_size=len(keywords))
+    rows = data.draw(st.lists(row, max_size=6))
+    vocab = VocabularyIndex(keywords, [1.0] * len(keywords))
+    stack = np.array(rows, dtype=np.float64).reshape(len(rows), len(keywords))
+    expected = [_reference_local_top_keyword(values, vocab) for values in stack]
+    assert local_top_keywords(stack, vocab) == expected
+    assert [local_top_keyword(values, vocab) for values in stack] == expected
 
 
 def test_count_ranking_from_counts_dense_vs_ordinal():

@@ -22,6 +22,7 @@ from fedtrend.corpus import (
     preprocess,
     preprocess_corpus,
     primary_keyword_set,
+    term_columns,
 )
 
 IDENTITY_CFG = PreprocessConfig(stopwords=frozenset(), lemmatize=False)
@@ -393,7 +394,7 @@ def test_pks_permutation_invariant(tokens, k, rnd):
 def test_document_columns_match_primary_keyword_sets_and_counts(token_lists, k):
     vocab = VocabularyIndex(list("fedcba"), [1.0] * 6)  # "z" is out of vocabulary
     docs = [Document(id=str(i), raw_text="", tokens=tuple(t)) for i, t in enumerate(token_lists)]
-    copies, primary, terms = document_columns([docs], vocab, k)
+    copies, primary, counts = document_columns([docs], vocab, k)
     assert copies.tolist() == [[1] * len(docs)]
     for d, doc in enumerate(docs):
         two_copies = np.zeros(len(docs), dtype=np.int64)
@@ -406,6 +407,7 @@ def test_document_columns_match_primary_keyword_sets_and_counts(token_lists, k):
         for token, n in Counter(doc.tokens).items():
             if token in vocab:
                 expected_terms[vocab.index_of(token)] = 2 * n
+        terms = term_columns(counts, vocab)
         assert np.array_equal(terms.weighted_sum(two_copies), expected_terms)
 
 
@@ -414,10 +416,10 @@ def test_document_columns_tell_documents_apart_by_value():
     a_again = Document(id="1", raw_text="", tokens=("x",))  # another object, equal value
     b = Document(id="1", raw_text="", tokens=("y",))  # same id, other tokens
     vocab = VocabularyIndex(["x", "y"], [1.0, 1.0])
-    copies, primary, terms = document_columns([[a, b, a_again], [], [b, b]], vocab, 1)
+    copies, primary, counts = document_columns([[a, b, a_again], [], [b, b]], vocab, 1)
     assert copies.tolist() == [[2, 1], [0, 0], [0, 2]]
     assert primary.weighted_sum(np.array([1, 0])).tolist() == [1.0, 0.0]
-    assert terms.weighted_sum(np.array([0, 3])).tolist() == [0.0, 3.0]
+    assert term_columns(counts, vocab).weighted_sum(np.array([0, 3])).tolist() == [0.0, 3.0]
     copies, primary, _ = document_columns([], vocab, 1)
     assert copies.shape == (0, 0)
     assert primary.weighted_sum(copies.sum(axis=0)).tolist() == [0.0, 0.0]

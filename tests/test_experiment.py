@@ -456,7 +456,7 @@ def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
 
 def test_cli_check_derives_one_grid_per_round(monkeypatch):
     calls = Counter()
-    for name in ("grid_bits", "encode"):
+    for name in ("grid_bits", "encode_steps"):
         def counting(*args, name=name, call=getattr(secagg, name)):
             calls[name] += 1
             return call(*args)
@@ -465,7 +465,25 @@ def test_cli_check_derives_one_grid_per_round(monkeypatch):
     assert cli.main(["check", "--users", "45", "--seed", "0"]) == 0
     # the round, the oracle's sum and the raw-sum line each derive the grid
     # once; the round and the oracle each encode all 45 secrets in one call
-    assert calls["grid_bits"] <= 4 and calls["encode"] <= 2, calls
+    assert calls["grid_bits"] <= 4 and calls["encode_steps"] <= 2, calls
+
+
+def test_cli_check_builds_no_baselines(monkeypatch, tmp_path, capsys):
+    # only rankings.md shows the count and pooled-trend baselines
+    calls = Counter()
+    names = ("term_columns", "rank_by_term_totals", "local_top_keywords", "rank_by_pooled_trend")
+    for name in names:
+        module = corpus if name == "term_columns" else baselines
+
+        def counting(*args, name=name, call=getattr(module, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    assert cli.main(["check", "--users", "45", "--seed", "0"]) == 0
+    assert calls == Counter()
+    assert cli.main(["run", "--users", "10", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert calls == Counter(dict.fromkeys(names, 1))
 
 
 def _kept_bytes(n_users: int, rounds: int) -> tuple[int, int]:
@@ -1082,6 +1100,48 @@ GOLDEN_AGGREGATES = {
     "round_robin": "666303c6c49f8075066fe4b3201ab59651617094af8d45f9902dcace73a09f4a",
     "seeded_shuffle": "83758c59c1bd3e23243eea6c0b92951754bfe5962ce98a6ab96809c16578d1ea",
 }
+
+
+# sha256 of the transcript that `fedtrend aggregate --share-range 5e307`
+# writes for three [5e307, 0.5] vectors, per seed.  N * (2D + 5e307) passes
+# the largest double: the obfuscated vectors' left-to-right double sum
+# overflows to inf, where a sum of their grid steps reads 1.5e+308.
+OVERFLOW_TRANSCRIPTS = {
+    14: "8e57da676ac477d1ed466ead9cb428d3bd84f3851a84d01b39be5da6ce3eb2e3",
+    15: "031321212eb3251c9d1b102371b8908932c37b26b2b4349cfbf5c1423ad1ce31",
+    16: "1a00528e453d14585b916d64864d2ddfd8f901853f0d5d2b78aa6f5f3b490dcd",
+    27: "15bc28da29f1a4f2cc6c1b658d3dea80a1fd5e1310c0e3e73c707f4a6bd09051",
+    35: "029fc4b06eea695245c72913bfad8e1ed2b48046b7b9cbe8e5cc7bd3aff2ec73",
+}
+
+
+@pytest.mark.parametrize("seed", list(OVERFLOW_TRANSCRIPTS))
+def test_cli_aggregate_sums_doubles_on_an_overflow_grid(tmp_path, capsys, seed):
+    vectors, out = tmp_path / "vectors.jsonl", tmp_path / "agg"
+    vectors.write_text('{"values": [5e307, 0.5]}\n' * 3, encoding="utf-8")
+    argv = ["aggregate", "--vectors", str(vectors), "--share-range", "5e307"]
+    assert cli.main([*argv, "--seed", str(seed), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "range validation FAILED: ((0, inf),)\n"
+    assert (out / "aggregate.csv").read_text().splitlines()[1] == "0,inf"
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("aggregate.csv", "transcript.jsonl")
+    }
+    assert digests == {
+        "aggregate.csv": "1adcf86f9eb35c58ec94f0363d9bb61b9343120ac0041330864975ac2d9062e6",
+        "transcript.jsonl": OVERFLOW_TRANSCRIPTS[seed],
+    }
+
+
+def test_cli_aggregate_keeps_a_lone_users_signed_zero(tmp_path, capsys):
+    # -1e-300 encodes to -0.0, which a sum of integer grid steps would lose
+    vectors, out = tmp_path / "vectors.jsonl", tmp_path / "agg"
+    vectors.write_text('{"values": [-1e-300, 0.5]}\n', encoding="utf-8")
+    argv = ["aggregate", "--vectors", str(vectors), "--bounds", "-1", "1", "--seed", "0"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert (out / "aggregate.csv").read_text() == "coordinate,value\n0,-0\n1,0.5\n"
+    transcript = hashlib.sha256((out / "transcript.jsonl").read_bytes()).hexdigest()
+    assert transcript == "8e62b25091f0d35220ec0f5d56ed86fc20ee223ba559674967b92f29235d2368"
 
 
 @pytest.mark.parametrize("delivery", list(GOLDEN_AGGREGATES))

@@ -128,7 +128,7 @@ def _reference_round(secrets, cfg, round_index):
     over the same seeds: each user's block from ``make_shares``, the shares
     in ``_schedule`` order, and each user's obfuscated vector from
     ``combine_received`` once her last share has arrived."""
-    seeds, deliver_seed, _ = _round_seeds(secrets, cfg, round_index)
+    seeds, deliver_seed, _, _ = _round_seeds(secrets, cfg, round_index)
     n, r, deliver = len(secrets), round_index, np.random.default_rng(deliver_seed)
     blocks = [
         make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
@@ -200,11 +200,20 @@ def test_engine_keeps_a_lone_users_signed_zero():
     assert encoded_sum(secrets, 100.0).tobytes() == agg.values.tobytes()
 
 
+def test_oracle_sums_negative_zeros_as_the_round_does():
+    # both secrets encode coordinate 0 to -0.0; the round's obfuscated vectors
+    # and its aggregate read +0.0 there, and so does the oracle's sum of steps
+    secrets = [fv(-1e-300, 0.5, bounds=(-1.0, 1.0)), fv(-0.0, 0.25, bounds=(-1.0, 1.0))]
+    agg, _ = run_round(secrets, RoundConfig(seed=0))
+    assert np.signbit(agg.values).tolist() == [False, False]
+    assert encoded_sum(secrets, 100.0).tobytes() == agg.values.tobytes()
+
+
 def test_engine_shares_payloads_by_reference():
     n, cfg = 4, RoundConfig(seed=6)
     secrets = random_secrets(n, 5, seed=6)
     result, transcript = run_round(secrets, cfg)
-    seeds, _, _ = _round_seeds(secrets, cfg, 0)  # the same seeds
+    seeds, _, _, _ = _round_seeds(secrets, cfg, 0)  # the same seeds
     blocks = [
         make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
         for i, (s, seed) in enumerate(zip(secrets, seeds))
@@ -490,6 +499,25 @@ def test_out_of_range_share_detected_in_transcript():
     # ...but the per-message range check trips
     privacy = transcript_privacy_check(transcript, secrets)
     assert any("outside" in reason for _, reason in privacy.violations)
+
+
+@pytest.mark.parametrize("behavior", list(AdversaryBehavior))
+def test_adversary_round_holds_no_messages(behavior):
+    # the returned transcript draws its sends again when read, as run_round's does
+    n, d = 60, 699
+    secrets = random_secrets(n, d, seed=0)
+    tracemalloc.start()
+    try:
+        _, transcript, _ = inject_adversary(
+            secrets, RoundConfig(seed=0), behavior, adversary=1, coordinate=2
+        )
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "messages" not in vars(transcript)
+    # all N^2 + N messages would hold N^2·d doubles
+    assert held < 10 * n * d * 8
+    assert transcript.count(MessageKind.SHARE) == n * (n - 1)
 
 
 @pytest.mark.parametrize("amount", [np.inf, -np.inf, np.nan])

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedtrend.bayes import PosteriorRanking, PriorDistribution
 from fedtrend.corpus import VocabularyIndex
@@ -278,6 +280,68 @@ def test_aggregate_sum_is_correctly_rounded():
     assert not exact_sum(values).flags.writeable
     for order in (values, values[::-1]):
         assert aggregate(order).values.tolist() == [1.0, 1.0]
+
+
+def _reference_exact_sum(vectors):
+    """``exact_sum`` as it was before it dropped the two-sum pass, verbatim
+    but for the freeze: left to right, with Knuth's two-sum error of every
+    addition, and ``math.fsum`` again on each finite coordinate that rounded."""
+    total = np.array(vectors[0], dtype=np.float64)
+    rounded = np.zeros(total.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays inf
+        for vec in vectors[1:]:
+            partial = total + vec
+            back = partial - total
+            rounded |= (total - (partial - back)) + (vec - back) != 0
+            total = partial
+    redo = np.flatnonzero(rounded & np.isfinite(total))
+    if redo.size:
+        columns = np.stack([np.asarray(vec)[redo] for vec in vectors], axis=1)
+        total[redo] = [math.fsum(column.tolist()) for column in columns]
+    return total
+
+
+# signed zeros, subnormals, infinities, NaN, and terms near the largest double,
+# whose left-to-right partial sums overflow
+SUM_EDGES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.inf, -np.inf, np.nan,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308, 9e307, 5e291,
+    1.0, -1.0, 0.1, 1e16, 2.0**-60,
+])
+SUM_TERMS = st.one_of(SUM_EDGES, st.floats(), st.floats(-4.0, 4.0), st.integers(-9, 9).map(float))
+
+
+@st.composite
+def sum_stacks(draw):
+    """N in 1..60 vectors of d in 1..8 doubles, dense or mostly zeros, some
+    columns with one nonzero term."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    fill = draw(st.sampled_from([None, st.just(0.0), st.just(-0.0)]))
+    stack = draw(arrays(np.float64, (n, d), elements=SUM_TERMS, fill=fill))
+    for column in draw(st.sets(st.integers(0, d - 1))):
+        keep = draw(st.integers(0, n - 1))
+        stack[np.arange(n) != keep, column] = draw(st.sampled_from([0.0, -0.0]))
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=sum_stacks())
+@example(stack=np.array([[1.7976931348623157e308, 1e308], [1.0, -1e308], [-1e308, 1e308]]))
+@example(stack=np.array([[-0.0], [-0.0]]))
+@example(stack=np.array([[1e100, 0.5], [1.0, 0.25], [-1e100, 0.25]]))
+def test_exact_sum_equals_the_two_sum_reference(stack):
+    rows = list(stack)
+    try:
+        expected = _reference_exact_sum(rows)
+    except OverflowError:  # math.fsum's exact sum of a coordinate overflows
+        with pytest.raises(OverflowError):
+            exact_sum(rows)
+        return
+    for vectors in (rows, stack):
+        assert exact_sum(vectors).tobytes() == expected.tobytes()
+    total = exact_sum(rows)
+    for j in np.flatnonzero(np.isfinite(total)).tolist():
+        assert total[j] == math.fsum(stack[:, j].tolist())
 
 
 def test_full_round_n10_d1000_direct_sum_oracle():
