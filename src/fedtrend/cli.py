@@ -132,8 +132,7 @@ def _load_vectors(
 def _raw_error_line(aggregate, secrets, share_range: float) -> str:
     """A round's max |aggregate - exact sum of the raw secrets|, and its grid step."""
     raw = secagg.exact_sum([s.values for s in secrets])
-    with np.errstate(invalid="ignore", over="ignore"):  # an overflowed sum stays inf
-        error = np.max(np.abs(aggregate.values - raw))
+    error = np.max(np.abs(aggregate.values - raw))
     f = secagg.grid_bits(len(secrets), share_range, secrets[0].bounds)
     return f"max |aggregate - raw sum| = {error:g} (grid step 2^{-f} = {2.0 ** -f:g})"
 

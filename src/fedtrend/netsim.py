@@ -210,13 +210,10 @@ def run_round(
     if n == 1:  # a lone user sends her encoded secret, -0.0 and all
         obfuscated = secagg.freeze(np.ldexp(encoded, -f))
         result = FeatureVector(obfuscated[0], bounds)
-    elif not secagg.overflow_grid(n, f):  # exact: every sum is below 2**53 steps
+    else:  # exact: every sum is below 2**53 steps, and grid_bits keeps it finite
         obfuscated = secagg.freeze(np.ldexp(net, -f))
         total = secagg.freeze(np.ldexp(net.sum(axis=0), -f))
         result = FeatureVector(total, (n * bounds[0], n * bounds[1]))
-    else:  # the doubles' sums, which may overflow where the steps' do not
-        obfuscated = secagg.freeze(np.ldexp(encoded, -f) + np.ldexp(net - encoded, -f))
-        result = secagg.aggregate(list(obfuscated), bounds)
 
     def sends():  # the shares drawn again from the seeds
         names = (*map(str, range(n)), AGGREGATOR_ID)

@@ -13,15 +13,16 @@ bounds the encoded vector, the kept residual, the obfuscated vector and
 the aggregate.  It refuses the grids that cannot serve a round: a step
 above D, where every share would be 0 and each vector would travel
 unmasked, a step below 2**-1074, where not every grid point is a double,
-and a grid with no point inside (a, b); ``check_grid`` also refuses the
-grids that would lose what a round's secrets carry.  A round derives f
-once, in ``check_grid`` or ``grid_bits``, and ``encode_steps`` rounds all
-its vectors onto the grid points inside (a, b) in one call (an error of at
-most 2**-(f+1) per entry, or below 2**-f next to a bound off the grid);
-shares are uniform grid points in [-D, D].  A round sums int64 counts of
-grid steps below 2**53, exact in any order, so its aggregate is the exact
-sum of the encoded vectors, ``encoded_sum``.  On an ``overflow_grid`` both
-sum the doubles through ``exact_sum``, which overflows where steps would not.
+a grid with no point inside (a, b), and a grid on which N vectors below
+2**53 steps can add up past 2**1023, where a sum of doubles may overflow;
+``check_grid`` also refuses the grids that would lose what a round's
+secrets carry.  A round derives f once, in ``check_grid`` or
+``grid_bits``, and ``encode_steps`` rounds all its vectors onto the grid
+points inside (a, b) in one call (an error of at most 2**-(f+1) per entry,
+or below 2**-f next to a bound off the grid); shares are uniform grid
+points in [-D, D].  A round sums int64 counts of grid steps below 2**53,
+exact in any order, so its aggregate is the exact sum of the encoded
+vectors, ``encoded_sum``, and every sum is finite.
 
 Arrays have one owner: the code that makes an array freezes it once, in
 place with ``freeze``, and every consumer shares it by reference.  Each
@@ -58,7 +59,6 @@ __all__ = [
     "grid_bits",
     "make_shares",
     "ordered_sum",
-    "overflow_grid",
     "seeded_rng",
     "share_steps",
     "validate_aggregate",
@@ -144,15 +144,20 @@ def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> 
     ``n_users * (2 * share_range + max(|a|, |b|)) * 2**f < 2**53``.
 
     ``ValueError`` if a bound is not finite, the step exceeds
-    ``share_range`` or is below 2**-1074, or no grid point lies inside
-    ``bounds``.
+    ``share_range`` or is below 2**-1074, no grid point lies inside
+    ``bounds``, or ``n_users`` vectors below 2**53 steps can add up past
+    2**1023.
     """
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"bounds ({a:g}, {b:g}) must be finite")
     # N * (2D + M) = 2N * (D + M/2): adding the exponents of the two factors
     # keeps every intermediate finite
-    mantissa, exponent = math.frexp(share_range + max(abs(a), abs(b)) / 2)
+    top = max(abs(a), abs(b))
+    mantissa, exponent = math.frexp(share_range + top / 2)
+    if math.isinf(mantissa):  # D + M/2 passes the largest double; halved, it is exact
+        mantissa, exponent = math.frexp(share_range / 2 + top / 4)
+        exponent += 1
     f = 52 - exponent - math.frexp(n_users * mantissa)[1]
     if math.ldexp(share_range, f) < 1:
         fault = "narrow", "exceeds D, so every share would be 0"
@@ -160,6 +165,8 @@ def grid_bits(n_users: int, share_range: float, bounds: tuple[float, float]) -> 
         fault = "small", "is below the smallest double, 2^-1074"
     elif math.ceil(math.ldexp(a, f)) > math.floor(math.ldexp(b, f)):
         fault = "coarse", f"has no point inside the bounds ({a:g}, {b:g})"
+    elif n_users.bit_length() + 53 - f > 1023:  # a sum of N vectors can reach 2**1023
+        fault = "large", "lets a sum of the round's vectors pass the largest double"
     else:
         return f
     raise _grid_fault(n_users, share_range, f, *fault)
@@ -185,12 +192,6 @@ def check_grid(n_users: int, share_range: float, bounds: tuple, span: tuple) -> 
     raise _grid_fault(n_users, share_range, f, "coarse", fault)
 
 
-def overflow_grid(n_users: int, f: int) -> bool:
-    """Whether a left-to-right sum of ``n_users`` vectors below 2**53 steps
-    of the grid 2**-f can pass 2**1023, beyond which a double sum may overflow."""
-    return n_users.bit_length() + 53 - f > 1023
-
-
 def encode_steps(values, bounds: tuple[float, float], f: int) -> np.ndarray:
     """``values``, one vector or a stack, rounded to the nearest points of the
     grid 2**-f inside ``bounds``, as float64 counts of grid steps below 2**53."""
@@ -211,21 +212,21 @@ def encoded_sum(secrets: Sequence[FeatureVector], share_range: float) -> np.ndar
     n, bounds = len(secrets), secrets[0].bounds
     f = grid_bits(n, share_range, bounds)
     steps = encode_steps([s.values for s in secrets], bounds, f)
-    if overflow_grid(n, f):
-        return exact_sum(np.ldexp(steps, -f))
     if n == 1:  # a lone user's aggregate is her encoded vector, -0.0 and all
         return freeze(np.ldexp(steps[0], -f))
     return freeze(np.ldexp(steps.astype(np.int64).sum(axis=0), -f))
 
 
 def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise correctly rounded sum, read-only: it does not depend
-    on the order of ``vectors``, and it is exact whenever the exact sum is a
-    double.
+    """Coordinate-wise sum, read-only: correctly rounded, so independent of
+    the order of ``vectors`` and exact whenever the exact sum is a double,
+    in every coordinate where no left-to-right partial sum overflows.
 
     Sums left to right, then by ``math.fsum`` each finite coordinate with
     more than two nonzero terms.  The others keep the left-to-right result:
-    one rounding of at most two terms, or an overflow.
+    one rounding of at most two terms, or an overflow, which may depend on
+    the order.  ``OverflowError`` where the left-to-right sum stays finite
+    but the exact sum does not.
     """
     total = np.array(vectors[0], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays inf

@@ -684,8 +684,8 @@ def test_cli_aggregate_range_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("big", [1e300, 1e308])
 def test_cli_aggregate_huge_values_fail_range_validation(tmp_path, capsys, big):
-    # values near the largest double: the grid stays exact below them, and
-    # a sum that overflows fails range validation instead of raising; the
+    # values near the largest double: at 1e300 the grid stays exact below
+    # them, and a sum outside the declared bounds fails range validation; the
     # share range is wide enough for a grid step that leaves shares nonzero
     vectors = tmp_path / "vectors.jsonl"
     with open(vectors, "w", encoding="utf-8") as handle:
@@ -693,13 +693,19 @@ def test_cli_aggregate_huge_values_fail_range_validation(tmp_path, capsys, big):
             handle.write(json.dumps({"id": str(i), "values": [big, 0.5]}) + "\n")
     argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(tmp_path),
             "--share-range", "1e300"]
+    if big == 1e308:  # two vectors could sum past the largest double: no round runs
+        assert cli.main(argv) == 2
+        assert "share range D=1e+300 is too large for N=2 users" in capsys.readouterr().err
+        assert not (tmp_path / "aggregate.csv").exists()
+        assert not (tmp_path / "transcript.jsonl").exists()
+        return
     assert cli.main(argv) == 4
     assert "range validation FAILED: ((0," in capsys.readouterr().err
     # the transcript reloads, and every Aggregate payload is the aggregate
-    # bit for bit, including its overflowed inf coordinate at 1e308
+    # bit for bit
     rows = (tmp_path / "aggregate.csv").read_text().splitlines()[1:]
     aggregate = np.array([float(row.split(",")[1]) for row in rows])
-    assert np.isinf(aggregate[0]) == (big == 1e308)
+    assert np.isfinite(aggregate[0])
     transcript = netsim.load_transcript(tmp_path / "transcript.jsonl")
     copies = [
         m.payload for m in transcript.messages if m.kind is netsim.MessageKind.AGGREGATE
@@ -852,6 +858,9 @@ VALID_VECTOR_FILE = (
 )
 ONE_POINT_VECTOR_FILE = '{"values": [0.1]}\n{"values": [0.6]}\n'
 SMALL_VECTOR_FILE = '{"values": [0.1]}\n{"values": [0.1]}\n'
+# the largest double, then sixty values each below half its ulp: a left-to-right
+# sum stays finite while the exact sum passes the largest double
+HUGE_VECTOR_FILE = '{"values": [1.7976931348623157e308]}\n' + '{"values": [5e291]}\n' * 60
 
 
 @pytest.mark.parametrize(
@@ -899,11 +908,30 @@ SMALL_VECTOR_FILE = '{"values": [0.1]}\n{"values": [0.1]}\n'
             "2^-1080 = 0 is below the smallest double, 2^-1074",
             '{"values": [3e-311]}\n{"values": [1e-311]}\n',
         ),
+    ] + [
+        # a sum of the 61 vectors could pass the largest double; the bound
+        # 1.8e308 sets the step at either share range
+        (
+            ["--share-range", share_range],
+            f"share range D={float(share_range):g} is too large for N=61 users: the grid "
+            "step 2^977 = 1.27734e+294 lets a sum of the round's vectors pass the largest "
+            "double",
+            HUGE_VECTOR_FILE,
+        )
+        for share_range in ["1e300", "1e306"]
+    ] + [
+        # D + max(|a|, |b|) / 2 itself passes the largest double
+        (
+            ["--share-range", "1.7e308"],
+            "share range D=1.7e+308 is too large for N=1 users: the grid step 2^973",
+            '{"values": [1.7976931348623157e308]}\n',
+        ),
     ],
     ids=[
         "D_nan", "D_negative", "D_inf", "seed_negative", "bound_inf", "D_too_coarse",
         "D_too_narrow", "bounds_too_wide", "one_grid_point", "secrets_off_zero",
-        "step_below_smallest_double",
+        "step_below_smallest_double", "sum_past_largest_double_D_1e300",
+        "sum_past_largest_double_D_1e306", "share_range_plus_bound_past_largest_double",
     ],
 )
 def test_cli_aggregate_fault_table(tmp_path, capsys, extra, cause, text):
@@ -1102,35 +1130,20 @@ GOLDEN_AGGREGATES = {
 }
 
 
-# sha256 of the transcript that `fedtrend aggregate --share-range 5e307`
-# writes for three [5e307, 0.5] vectors, per seed.  N * (2D + 5e307) passes
-# the largest double: the obfuscated vectors' left-to-right double sum
-# overflows to inf, where a sum of their grid steps reads 1.5e+308.
-OVERFLOW_TRANSCRIPTS = {
-    14: "8e57da676ac477d1ed466ead9cb428d3bd84f3851a84d01b39be5da6ce3eb2e3",
-    15: "031321212eb3251c9d1b102371b8908932c37b26b2b4349cfbf5c1423ad1ce31",
-    16: "1a00528e453d14585b916d64864d2ddfd8f901853f0d5d2b78aa6f5f3b490dcd",
-    27: "15bc28da29f1a4f2cc6c1b658d3dea80a1fd5e1310c0e3e73c707f4a6bd09051",
-    35: "029fc4b06eea695245c72913bfad8e1ed2b48046b7b9cbe8e5cc7bd3aff2ec73",
-}
-
-
-@pytest.mark.parametrize("seed", list(OVERFLOW_TRANSCRIPTS))
-def test_cli_aggregate_sums_doubles_on_an_overflow_grid(tmp_path, capsys, seed):
+@pytest.mark.parametrize("seed", [14, 15, 16, 27, 35])
+def test_cli_aggregate_refuses_an_overflow_grid(tmp_path, capsys, seed):
+    # N * (2D + 5e307) passes the largest double: the grid step 2^973 lets
+    # three vectors below 2^53 steps add up past 2^1023
     vectors, out = tmp_path / "vectors.jsonl", tmp_path / "agg"
     vectors.write_text('{"values": [5e307, 0.5]}\n' * 3, encoding="utf-8")
     argv = ["aggregate", "--vectors", str(vectors), "--share-range", "5e307"]
-    assert cli.main([*argv, "--seed", str(seed), "--out", str(out)]) == 4
-    assert capsys.readouterr().err == "range validation FAILED: ((0, inf),)\n"
-    assert (out / "aggregate.csv").read_text().splitlines()[1] == "0,inf"
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("aggregate.csv", "transcript.jsonl")
-    }
-    assert digests == {
-        "aggregate.csv": "1adcf86f9eb35c58ec94f0363d9bb61b9343120ac0041330864975ac2d9062e6",
-        "transcript.jsonl": OVERFLOW_TRANSCRIPTS[seed],
-    }
+    assert cli.main([*argv, "--seed", str(seed), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: share range D=5e+307 is too large for N=3 users: the grid step "
+        "2^973 = 7.98336e+292 lets a sum of the round's vectors pass the largest double\n"
+    )
+    assert not (out / "aggregate.csv").exists()
+    assert not (out / "transcript.jsonl").exists()
 
 
 def test_cli_aggregate_keeps_a_lone_users_signed_zero(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,15 @@ from hypothesis.extra.numpy import arrays
 
 from fedtrend.bayes import PosteriorRanking, PriorDistribution
 from fedtrend.corpus import VocabularyIndex
-from fedtrend.netsim import Message, MessageKind
+from fedtrend.netsim import Message, MessageKind, RoundConfig, run_round
 from fedtrend.secagg import (
     FeatureVector,
     ShareSet,
     aggregate,
+    check_grid,
     combine_received,
     encode,
+    encode_steps,
     encoded_sum,
     exact_sum,
     frozen,
@@ -202,6 +205,76 @@ def test_unservable_grids_are_refused_as_a_round_refuses_them(call, grid):
         else:
             encoded_sum([v, v], share_range)
     assert str(refused.value) == text
+
+
+#: The largest share range that ``grid_bits`` accepts for N users with
+#: bounds (0, 1): one more ulp lets N vectors below 2**53 steps reach 2**1023.
+LARGEST_SHARE_RANGES = {
+    1: float.fromhex("0x1.fffffffffffffp+1020"),
+    2: float.fromhex("0x1.fffffffffffffp+1018"),
+    3: float.fromhex("0x1.5555555555554p+1018"),
+    61: float.fromhex("0x1.0c9714fbcda3ap+1010"),
+}
+
+
+@pytest.mark.parametrize("n", list(LARGEST_SHARE_RANGES))
+def test_grid_bits_refuses_one_ulp_past_the_largest_share_range(n):
+    largest = LARGEST_SHARE_RANGES[n]
+    assert n.bit_length() + 53 - grid_bits(n, largest, (0.0, 1.0)) == 1023
+    beyond = float(np.nextafter(largest, np.inf))
+    text = f"share range D={beyond:g} is too large for N={n} users: "
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+        grid_bits(n, beyond, (0.0, 1.0))
+
+
+def _with_boundary_examples(test):
+    """``test`` with an example at each largest share range and one past it."""
+    for n, largest in LARGEST_SHARE_RANGES.items():
+        for share_range in (largest, float(np.nextafter(largest, np.inf))):
+            test = example(n=n, share_range=share_range, bounds=(0.0, 1.0), d=2, seed=n)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    share_range=st.integers(-30, 1023).map(lambda k: 2.0**k),
+    bounds=st.sampled_from(
+        [(0.0, 1.0), (-1.0, 1.0), (0.0, 5e307), (0.0, 1.7976931348623157e308)]
+    ),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**31),
+)
+# `aggregate --share-range 5e307` over three [5e307, 0.5]
+@example(n=3, share_range=5e307, bounds=(0.0, 5e307), d=2, seed=14)
+# D + max(|a|, |b|) / 2 passes the largest double
+@example(n=1, share_range=2.0**1023, bounds=(0.0, 1.7976931348623157e308), d=1, seed=0)
+@_with_boundary_examples
+def test_every_accepted_grid_sums_its_round_exactly(n, share_range, bounds, d, seed):
+    rng = seeded_rng(seed)
+    a, b = bounds
+    values = rng.uniform(a, b, (n, d))
+    values[rng.random((n, d)) < 0.5] = b
+    secrets = [FeatureVector(v, bounds) for v in values]
+    cfg = RoundConfig(seed=seed, share_range=share_range)
+    try:
+        f = grid_bits(n, share_range, bounds)
+    except ValueError as refused:  # and so is every round on this grid
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+            run_round(secrets, cfg)
+        return
+    assert n.bit_length() + 53 - f <= 1023
+    try:
+        check_grid(n, share_range, bounds, (values.min(), values.max()))
+    except ValueError:  # the secrets would lose what they carry: take their grid points
+        values = np.ldexp(encode_steps(values, bounds, f), -f)
+        secrets = [FeatureVector(v, bounds) for v in values]
+    total, _ = run_round(secrets, cfg)
+    assert np.all(np.isfinite(total.values))
+    assert total.values.tobytes() == encoded_sum(secrets, share_range).tobytes()
+    steps = encode_steps(values, bounds, f)
+    for j, value in enumerate(total.values.tolist()):
+        assert Fraction(value) == sum(map(Fraction, steps[:, j].tolist())) * Fraction(2) ** -f
 
 
 def test_share_uniformity():
