@@ -15,15 +15,17 @@ draws it again from her seed when the transcript is read.
 one misbehaving user changes them.
 
 Every transcript is one stream of sends, (round, sender, receiver, kind,
-payload) tuples that a ``Message`` also unpacks to.  ``write_transcript``
-saves the stream, every delivered message in order, as JSON Lines, with
-each payload written as the base64 text of its d little-endian doubles:
-exact for every double, at one C call per message.  A round's sends are
-drawn again from its seeds, with no ``Message``: ``round_robin`` reaches
-each sender's rows in order, so a block is drawn a few rows at a time, the
-send order is computed as it goes and ``run`` writes in O(N·d) memory;
-``seeded_shuffle`` may send any share first, so it draws whole blocks and
-lists its N(N-1) sends.
+payload) tuples that a ``Message`` also unpacks to, and keeps no message:
+each read of ``Transcript.messages`` draws a round's sends again from its
+seeds, or parses a loaded file again, and builds its ``Message``s as it
+goes.  ``write_transcript`` saves the stream, every delivered message in
+order, as JSON Lines, with each payload written as the base64 text of its d
+little-endian doubles: exact for every double, at one C call per message.
+A round's sends are drawn again from its seeds, with no ``Message``:
+``round_robin`` reaches each sender's rows in order, so a block is drawn a
+few rows at a time, the send order is computed as it goes, and ``run``
+writes and a read streams in O(N·d) memory; ``seeded_shuffle`` may send any
+share first, so it draws whole blocks and lists its N(N-1) sends.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ import functools
 import json
 import math
 import sys
+import zlib
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice, zip_longest
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,41 +97,86 @@ class Message:
         return iter((self.round, self.sender, self.receiver, self.kind, self.payload))
 
 
+class _MessageView(Sequence):
+    """The ``Message``s of a transcript's parts, read-only: each read
+    streams them from the parts again and keeps none.  ``len`` counts the
+    sends, an index or slice counts them and then reads up to the position
+    it names, ``reversed`` holds them all as a tuple would, and ``+`` a
+    tuple gives a tuple.  Two views are equal when they read the same parts
+    or yield the same ``Message`` objects in order, as two tuples of them
+    are."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+    def __iter__(self) -> Iterator[Message]:
+        for part in self.parts:
+            for send in part():
+                yield send if type(send) is Message else Message(*send)
+
+    def __len__(self) -> int:
+        return sum(1 for part in self.parts for _ in part())
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]  # IndexError and negative indices as a tuple's
+        if isinstance(positions, int):
+            return next(islice(self, positions, None))
+        forward = positions if positions.step > 0 else positions[::-1]
+        found = tuple(islice(self, forward.start, forward.stop, forward.step))
+        return found if forward is positions else found[::-1]
+
+    def __reversed__(self) -> Iterator[Message]:
+        return reversed(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other if isinstance(other, tuple) else NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _MessageView)):
+            return NotImplemented
+        if isinstance(other, _MessageView) and other.parts == self.parts:
+            return True
+        return all(a is b for a, b in zip_longest(self, other, fillvalue=object()))
+
+
 @dataclass(frozen=True)
 class Transcript:
     """Every delivered message of a run, plus the round parameters.
 
     ``parts`` are callables that yield the same sends, (round, sender,
-    receiver, kind, payload) with str node names, on every call; in order
-    they make up ``messages``, which ``messages=None`` builds on first read
-    and keeps.  ``write_transcript``, ``count`` and
-    ``transcript_privacy_check`` stream the parts instead.
+    receiver, kind, payload) with str node names, on every call.
+    ``messages`` is a read-only ``Sequence`` view over them: each read draws
+    or parses the sends again and builds their ``Message``s as it goes, and
+    nothing is kept.  ``messages=None`` reads ``parts``; a tuple (or another
+    transcript's view) given as ``messages`` becomes the one part.
+    ``write_transcript``, ``count`` and ``transcript_privacy_check`` stream
+    the parts with no ``Message`` at all.
     """
 
     n_users: int
     dim: int
     share_range: float
     seed: int
-    messages: tuple[Message, ...] | None
+    # unhashable, like a list; a transcript hashes by its round parameters
+    messages: Sequence[Message] | None = field(hash=False)
     parts: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         messages = self.messages
-        if messages is None:
-            object.__delattr__(self, "messages")  # so a read reaches __getattr__
+        if isinstance(messages, _MessageView):
+            parts = messages.parts
+        elif messages is not None:
+            parts = (lambda: messages,)
         else:
-            object.__setattr__(self, "parts", (lambda: messages,))
-
-    def __getattr__(self, name: str):
-        if name != "messages":
-            raise AttributeError(name)
-        messages = tuple(Message(*send) for part in self.parts for send in part())
-        object.__setattr__(self, "messages", messages)
-        return messages
+            parts = self.parts
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "messages", _MessageView(parts))
 
     def count(self, kind: MessageKind) -> int:
         """Messages of ``kind``, counted over the parts' sends, so that no
-        ``messages`` are built or kept."""
+        ``Message`` is built."""
         return sum(1 for part in self.parts for _, _, _, k, _ in part() if k is kind)
 
 
@@ -473,15 +522,37 @@ def load_transcript(path: str | Path) -> Transcript:
     rejects, a round that is not a JSON integer >= 0, a message of an
     unknown kind or with a node name other than a string, and a payload
     other than base64 of exactly d doubles raise ``ValueError`` naming the
-    path and the line."""
+    path and the line.
+
+    The one pass that checks every line keeps no payload, only each line's
+    CRC-32.  Each read of the transcript's messages parses the file again,
+    with the same checks, and raises ``ValueError`` naming the path and the
+    first line that has changed, gone or been added since the load, so a
+    read never yields a stream other than the one checked."""
+    from array import array  # here, so that run and check never load the module
+
     with open(path, "rb") as handle:  # json.loads decodes each line
-        header = _read_record(path, 1, handle.readline(), _parse_header)
-        messages = tuple(
-            _read_record(path, lineno, line, lambda rec: Message(
+        line = handle.readline()
+        header = _read_record(path, 1, line, _parse_header)
+
+        def parse(rec: dict) -> Message:
+            return Message(
                 _integer(rec, "round", 0), rec["from"], rec["to"], MessageKind(rec["kind"]),
                 _parse_payload(rec["payload"], header.dim),
-            ))
-            for lineno, line in enumerate(handle, start=2)
-            if line.strip()
-        )
-    return replace(header, messages=messages)
+            )
+
+        sums = array("L", [zlib.crc32(line)])
+        for lineno, line in enumerate(handle, start=2):
+            sums.append(zlib.crc32(line))
+            if line.strip():
+                _read_record(path, lineno, line, parse)
+
+    def sends():  # the same pass again, each line first checked against its sum
+        with open(path, "rb") as handle:
+            for lineno, (line, loaded) in enumerate(zip_longest(handle, sums), start=1):
+                if line is None or zlib.crc32(line) != loaded:
+                    raise ValueError(f"{path}: line {lineno}: changed since the transcript was loaded")
+                if lineno > 1 and line.strip():
+                    yield _read_record(path, lineno, line, parse)
+
+    return replace(header, messages=None, parts=(sends,))

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ def random_secrets(n, d, seed):
     ]
 
 
+def streamed_sends(transcript) -> list:
+    """``transcript.messages`` read twice, as (round, sender, receiver,
+    kind, payload bytes): both reads give the same sends, and no ``Message``
+    of either outlives it, so the transcript keeps none."""
+    assert not isinstance(transcript.messages, tuple)
+    reads, built = [], []
+    for _ in range(2):
+        messages = list(transcript.messages)
+        reads.append([(r, s, t, k, p.tobytes()) for r, s, t, k, p in messages])
+        built += map(weakref.ref, messages)
+        del messages
+    assert reads[0] == reads[1]
+    assert all(ref() is None for ref in built)
+    return reads[0]
+
+
+def messages_built(monkeypatch):
+    """The kinds of the ``Message``s constructed from now on, appended as
+    they are; the ``Message``s themselves are not kept."""
+    built = []
+    post_init = Message.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Message, "__post_init__", counting)
+    return built
+
+
 # ---------------------------------------------------------------------------
 # run_round
 # ---------------------------------------------------------------------------
@@ -93,12 +124,15 @@ def test_message_count_law(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_count_builds_no_messages(n):
+def test_count_builds_no_messages(n, monkeypatch):
     _, transcript = run_round(random_secrets(n, 6, seed=n), RoundConfig(seed=n))
+    built = messages_built(monkeypatch)
     assert transcript.count(MessageKind.SHARE) == n * (n - 1)
     assert transcript.count(MessageKind.OBFUSCATED) == n
     assert transcript.count(MessageKind.AGGREGATE) == n
-    assert "messages" not in vars(transcript)
+    assert len(transcript.messages) == n * n + n
+    assert built == []
+    assert len(streamed_sends(transcript)) == n * n + n
 
 
 @pytest.mark.parametrize("n, share_range", [(8, 100.0), (45, 1e6), (13, 13801.6)])
@@ -262,14 +296,37 @@ def test_transcript_follows_the_protocol_phases(delivery, n):
     assert all(m.payload.tobytes() == agg.values.tobytes() for m in broadcasts)
 
 
-def test_transcript_builds_its_messages_once_on_first_read():
+def test_transcript_messages_are_a_view_read_again_on_each_read():
     _, transcript = run_round(random_secrets(3, 2, seed=1), RoundConfig(seed=1))
-    assert "messages" not in vars(transcript)
+    sends = streamed_sends(transcript)
     messages = transcript.messages
-    assert type(messages) is tuple and transcript.messages is messages
-    replaced = dataclasses.replace(transcript, messages=messages[:2])
-    assert replaced.messages == messages[:2]
-    assert [m for part in replaced.parts for m in part()] == list(messages[:2])
+    assert len(messages) == len(sends) == 12
+
+    def as_sends(found):
+        return [(r, s, t, k, p.tobytes()) for r, s, t, k, p in found]
+
+    # an index or slice picks what it picks from a list of the sends
+    for index in (0, 5, 11, -1, -12):
+        assert as_sends([messages[index]]) == [sends[index]]
+    for index in (slice(2), slice(3, 9, 2), slice(-2, None), slice(None, None, -3),
+                  slice(7, 1, -2), slice(5, 2), slice(20, None)):
+        assert type(messages[index]) is tuple
+        assert as_sends(messages[index]) == sends[index]
+    for index in (12, -13):
+        with pytest.raises(IndexError):
+            messages[index]
+    assert as_sends(reversed(messages)) == sends[::-1]
+    # a tuple given as messages is the transcript's one part, its Messages kept as given
+    head = messages[:2]
+    replaced = dataclasses.replace(transcript, messages=head)
+    assert replaced.messages == head and list(replaced.messages) == list(head)
+    assert [m for part in replaced.parts for m in part()] == list(head)
+    assert type(messages + head) is tuple
+    assert as_sends(messages + head) == sends + sends[:2]
+    # transcripts over the same parts compare equal; separate reads build separate Messages
+    assert dataclasses.replace(transcript, seed=1) == transcript
+    assert messages != tuple(messages) and replaced != transcript
+    assert hash(replaced) == hash(transcript)
 
 
 @st.composite
@@ -373,22 +430,24 @@ def test_privacy_sweep_small():
 
 
 @pytest.mark.parametrize("n", [2, 5])
-def test_privacy_check_builds_no_messages(n):
+def test_privacy_check_builds_no_messages(n, monkeypatch):
     secrets = random_secrets(n, 4, seed=n)
     _, transcript = run_round(secrets, RoundConfig(seed=n))
     leak = (0, "1", AGGREGATOR_ID, MessageKind.OBFUSCATED, secrets[1].values)
     wide = (0, "0", "1", MessageKind.SHARE, np.full(4, 250.0))
     planted = Transcript(n, 4, 100.0, n, None, transcript.parts + (lambda: (leak, wide),))
+    built = messages_built(monkeypatch)
     report = transcript_privacy_check(planted, secrets)
     assert report.violations == (
         (n * n + n, "Obfuscated message from 1 to aggregator equals the raw vector of user 1"),
         (n * n + n + 1, "share from 0 to 1 outside [-D, D]"),
     )
     assert transcript_privacy_check(transcript, secrets).ok
-    assert "messages" not in vars(planted) and "messages" not in vars(transcript)
+    assert built == []
+    assert len(streamed_sends(planted)) == n * n + n + 2
     # the same violations, at the same indices, as over the built messages
-    built = Transcript(n, 4, 100.0, n, planted.messages)
-    assert transcript_privacy_check(built, secrets) == report
+    kept = Transcript(n, 4, 100.0, n, tuple(planted.messages))
+    assert transcript_privacy_check(kept, secrets) == report
 
 
 def test_planted_raw_vector_leak_is_flagged():
@@ -501,6 +560,30 @@ def test_out_of_range_share_detected_in_transcript():
     assert any("outside" in reason for _, reason in privacy.violations)
 
 
+def test_reading_messages_streams_in_n_d_memory(tmp_path):
+    # all N^2 + N messages would hold N = 60 times N·d doubles; a round-robin
+    # read holds about 512 share rows (8.7 times N·d here), a file's read one line
+    n, d = 60, 300
+    _, transcript = run_round(random_secrets(n, d, seed=0), RoundConfig(seed=0))
+    path = tmp_path / "transcript.jsonl"
+    write_transcript(transcript, path)
+
+    def traced_peak(read):
+        tracemalloc.start()
+        try:
+            return read(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    loaded, peak = traced_peak(lambda: load_transcript(path))
+    assert peak < n * d * 8
+    for read in (lambda: len(transcript.messages), lambda: sum(1 for _ in transcript.messages),
+                 lambda: len(loaded.messages), lambda: sum(1 for _ in loaded.messages)):
+        count, peak = traced_peak(read)
+        assert count == n * n + n
+        assert peak < 12 * n * d * 8
+
+
 @pytest.mark.parametrize("behavior", list(AdversaryBehavior))
 def test_adversary_round_holds_no_messages(behavior):
     # the returned transcript draws its sends again when read, as run_round's does
@@ -514,10 +597,10 @@ def test_adversary_round_holds_no_messages(behavior):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert "messages" not in vars(transcript)
     # all N^2 + N messages would hold N^2·d doubles
     assert held < 10 * n * d * 8
     assert transcript.count(MessageKind.SHARE) == n * (n - 1)
+    assert len(streamed_sends(transcript)) == n * n + n
 
 
 @pytest.mark.parametrize("amount", [np.inf, -np.inf, np.nan])
@@ -863,6 +946,42 @@ def test_load_transcript_names_a_line_that_is_not_utf8(tmp_path, index):
     where = f"^{re.escape(str(path))}: line {index + 1}: "
     with pytest.raises(ValueError, match=where + "'utf-8' codec can't decode byte 0xff"):
         load_transcript(path)
+
+
+def _other_payload(line: bytes) -> bytes:
+    """``line`` with its first payload double negated: still base64 of d doubles."""
+    record = json.loads(line)
+    values = -np.frombuffer(binascii.a2b_base64(record["payload"]), "<f8")
+    record["payload"] = binascii.b2a_base64(values.tobytes(), newline=False).decode()
+    return json.dumps(record).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "change, lineno",
+    [
+        (lambda lines: lines.__setitem__(3, lines[3][: len(lines[3]) // 2] + b"\n"), 4),
+        (lambda lines: lines.__setitem__(3, _other_payload(lines[3])), 4),
+        (lambda lines: lines.__setitem__(0, lines[0].replace(b'"seed": 5', b'"seed": 6')), 1),
+        (lambda lines: lines.pop(), 7),
+        (lambda lines: lines.append(lines[1]), 8),
+    ],
+    ids=["truncated_line", "other_payload", "other_header", "last_line_gone", "line_added"],
+)
+def test_load_transcript_refuses_a_file_changed_after_the_load(tmp_path, change, lineno):
+    _, transcript = run_round(random_secrets(2, 2, seed=5), RoundConfig(seed=5))
+    path = tmp_path / "transcript.jsonl"
+    write_transcript(transcript, path)
+    loaded = load_transcript(path)
+    assert streamed_sends(loaded) == streamed_sends(transcript)
+    lines = path.read_bytes().splitlines(keepends=True)
+    change(lines)
+    path.write_bytes(b"".join(lines))
+    where = f"^{re.escape(str(path))}: line {lineno}: changed since the transcript was loaded$"
+    for read in (len, list, lambda messages: messages[-1]):
+        with pytest.raises(ValueError, match=where):
+            read(loaded.messages)
+    with pytest.raises(ValueError, match=where):
+        loaded.count(MessageKind.AGGREGATE)
 
 
 def test_transcript_header_fields(tmp_path):
