@@ -14,7 +14,6 @@ from .secagg import FeatureVector, exact_sum
 __all__ = [
     "CountRanking",
     "centralized_oracle",
-    "local_top_keyword",
     "local_top_keywords",
     "pooled_likelihood",
     "rank_by_pooled_trend",
@@ -77,14 +76,10 @@ def rank_by_pooled_trend(local_tops: Sequence[str]) -> CountRanking:
     return CountRanking.from_counts(counts, dense=True)
 
 
-def local_top_keyword(likelihood_values: np.ndarray, vocab: VocabularyIndex) -> str | None:
-    """Argmax keyword of one user's likelihood vector, ties lexicographic;
-    None when the vector is all zeros (nothing to report)."""
-    return local_top_keywords([likelihood_values], vocab)[0]
-
-
 def local_top_keywords(likelihoods, vocab: VocabularyIndex) -> list[str | None]:
-    """``local_top_keyword`` of each row of ``likelihoods``, in one pass."""
+    """Each user's top keyword: the argmax of each row of ``likelihoods``,
+    ties in lexicographic order, ``None`` for a row with no positive entry
+    (an all-zero row: nothing to report).  One pass over all rows."""
     order = np.array(vocab.by_keyword, dtype=np.intp)
     lexical = np.asarray(likelihoods)[:, order]  # argmax takes the first of tied maxima
     tops, found = order[lexical.argmax(axis=1)], lexical.max(axis=1) > 0  # NaN is no top

@@ -16,11 +16,13 @@ one misbehaving user changes them.
 
 Every transcript is one stream of sends, (round, sender, receiver, kind,
 payload) tuples that a ``Message`` also unpacks to, and keeps no message:
-each read of ``Transcript.messages`` draws a round's sends again from its
+``Transcript.messages`` can be iterated, counted with ``len`` and added to
+a tuple, and nothing else; each read draws a round's sends again from its
 seeds, or parses a loaded file again, and builds its ``Message``s as it
-goes.  ``write_transcript`` saves the stream, every delivered message in
-order, as JSON Lines, with each payload written as the base64 text of its d
-little-endian doubles: exact for every double, at one C call per message.
+goes.  A transcript compares by identity.  ``write_transcript`` saves the
+stream, every delivered message in order, as JSON Lines, with each payload
+written as the base64 text of its d little-endian doubles: exact for every
+double, at one C call per message.
 A round's sends are drawn again from its seeds, with no ``Message``:
 ``round_robin`` reaches each sender's rows in order, so a block is drawn a
 few rows at a time, the send order is computed as it goes, and ``run``
@@ -36,10 +38,10 @@ import json
 import math
 import sys
 import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +99,10 @@ class Message:
         return iter((self.round, self.sender, self.receiver, self.kind, self.payload))
 
 
-class _MessageView(Sequence):
-    """The ``Message``s of a transcript's parts, read-only: each read
-    streams them from the parts again and keeps none.  ``len`` counts the
-    sends, an index or slice counts them and then reads up to the position
-    it names, ``reversed`` holds them all as a tuple would, and ``+`` a
-    tuple gives a tuple.  Two views are equal when they read the same parts
-    or yield the same ``Message`` objects in order, as two tuples of them
-    are."""
+class _MessageView:
+    """The ``Message``s of a transcript's parts.  They can be iterated,
+    counted with ``len``, and added to a tuple, which gives a tuple; nothing
+    else.  Each read streams them from the parts again and keeps none."""
 
     __slots__ = ("parts",)
 
@@ -119,49 +117,32 @@ class _MessageView(Sequence):
     def __len__(self) -> int:
         return sum(1 for part in self.parts for _ in part())
 
-    def __getitem__(self, index):
-        positions = range(len(self))[index]  # IndexError and negative indices as a tuple's
-        if isinstance(positions, int):
-            return next(islice(self, positions, None))
-        forward = positions if positions.step > 0 else positions[::-1]
-        found = tuple(islice(self, forward.start, forward.stop, forward.step))
-        return found if forward is positions else found[::-1]
-
-    def __reversed__(self) -> Iterator[Message]:
-        return reversed(tuple(self))
-
     def __add__(self, other):
         return tuple(self) + other if isinstance(other, tuple) else NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _MessageView)):
-            return NotImplemented
-        if isinstance(other, _MessageView) and other.parts == self.parts:
-            return True
-        return all(a is b for a, b in zip_longest(self, other, fillvalue=object()))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
     """Every delivered message of a run, plus the round parameters.
 
     ``parts`` are callables that yield the same sends, (round, sender,
     receiver, kind, payload) with str node names, on every call.
-    ``messages`` is a read-only ``Sequence`` view over them: each read draws
-    or parses the sends again and builds their ``Message``s as it goes, and
-    nothing is kept.  ``messages=None`` reads ``parts``; a tuple (or another
+    ``messages`` is a ``_MessageView`` over them: it can be iterated,
+    counted with ``len`` and added to a tuple, each read draws or parses the
+    sends again and builds their ``Message``s as it goes, and nothing is
+    kept.  ``messages=None`` reads ``parts``; a tuple (or another
     transcript's view) given as ``messages`` becomes the one part.
     ``write_transcript``, ``count`` and ``transcript_privacy_check`` stream
-    the parts with no ``Message`` at all.
+    the parts with no ``Message`` at all.  A transcript equals, and hashes
+    as, only itself.
     """
 
     n_users: int
     dim: int
     share_range: float
     seed: int
-    # unhashable, like a list; a transcript hashes by its round parameters
-    messages: Sequence[Message] | None = field(hash=False)
-    parts: tuple = field(default=(), repr=False, compare=False)
+    messages: Iterable[Message] | None
+    parts: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         messages = self.messages
@@ -198,15 +179,6 @@ class RoundConfig:
 # ---------------------------------------------------------------------------
 # Round execution
 # ---------------------------------------------------------------------------
-
-
-def _schedule(batches: list[list], delivery: str, rng) -> list:
-    """Order one phase's items: cycle senders, or shuffle with the rng."""
-    if delivery == "seeded_shuffle":
-        flat = [m for batch in batches for m in batch]
-        return [flat[i] for i in rng.permutation(len(flat))]
-    width = max((len(b) for b in batches), default=0)
-    return [b[i] for i in range(width) for b in batches if i < len(b)]
 
 
 def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
@@ -268,7 +240,8 @@ def run_round(
         names = (*map(str, range(n)), AGGREGATOR_ID)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         deliver = np.random.default_rng(deliver_seed)
-        rows = n if cfg.delivery == "seeded_shuffle" else max(1, _ROW_BUDGET // n)
+        shuffled = cfg.delivery == "seeded_shuffle"
+        rows = n if shuffled else max(1, _ROW_BUDGET // n)
         held = [(0, ())] * n  # per sender: index of its first held row, and the rows
 
         def share(i, k):  # round robin asks each sender's rows in order, a shuffle any
@@ -280,10 +253,12 @@ def run_round(
                 held[i] = start, block
             return block[k - start]
 
+        def order(items):  # a phase's sends as listed, or in one permutation of them
+            return [items[j] for j in deliver.permutation(len(items))] if shuffled else items
+
         # a user's obfuscated vector leaves when her last share arrives
-        if cfg.delivery == "seeded_shuffle":
-            peers = [[(i, k) for k in range(n) if k != i] for i in range(n)]
-            shares = _schedule(peers, cfg.delivery, deliver)
+        if shuffled:
+            shares = order([(i, k) for i in range(n) for k in range(n) if k != i])
             arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
         else:  # column c of sender i goes to c + (c >= i): user k < n - 1 hears
             # last from n - 1 in column k, n - 1 from n - 2 just before n - 2 does
@@ -291,9 +266,9 @@ def run_round(
             arrived = [*range(n - 2), n - 1, n - 2][:n]
         for i, k in shares:
             yield round_index, names[i], names[k], MessageKind.SHARE, share(i, k)
-        for k in _schedule([[k] for k in arrived], cfg.delivery, deliver):
+        for k in order(arrived):
             yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k]
-        for k in _schedule([[k] for k in range(n)], cfg.delivery, deliver):
+        for k in order(range(n)):
             yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, result.values
 
     return result, Transcript(n, d, share_range, cfg.seed, None, (sends,))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fedtrend.baselines import (
     CountRanking,
     centralized_oracle,
-    local_top_keyword,
     local_top_keywords,
     pooled_likelihood,
     rank_by_pooled_trend,
@@ -156,14 +155,14 @@ def test_pooled_trend_empty():
 
 def test_local_top_keyword():
     vocab = VocabularyIndex(["b", "a", "c"], [1.0, 1.0, 1.0])
-    assert local_top_keyword(np.array([0.5, 0.5, 0.0]), vocab) == "a"  # tie: lexicographic
-    assert local_top_keyword(np.zeros(3), vocab) is None
-    assert local_top_keyword(np.array([0.1, 0.2, 0.7]), vocab) == "c"
+    assert local_top_keywords([[0.5, 0.5, 0.0]], vocab) == ["a"]  # tie: lexicographic
+    assert local_top_keywords([np.zeros(3)], vocab) == [None]
+    assert local_top_keywords([[0.1, 0.2, 0.7]], vocab) == ["c"]
 
 
 def _reference_local_top_keyword(values, vocab):
-    """One user's top keyword as ``local_top_keyword`` found it before the
-    one-pass ``local_top_keywords``, kept as the reference."""
+    """One user's top keyword as the per-user ``local_top_keyword`` found it
+    before the one-pass ``local_top_keywords``, kept as the reference."""
     values = np.asarray(values)
     top = values.max(initial=0.0)
     if not top > 0:
@@ -183,7 +182,7 @@ def test_local_top_keywords_match_the_per_user_reference(data):
     stack = np.array(rows, dtype=np.float64).reshape(len(rows), len(keywords))
     expected = [_reference_local_top_keyword(values, vocab) for values in stack]
     assert local_top_keywords(stack, vocab) == expected
-    assert [local_top_keyword(values, vocab) for values in stack] == expected
+    assert [local_top_keywords([values], vocab)[0] for values in stack] == expected
 
 
 def test_count_ranking_from_counts_dense_vs_ordinal():

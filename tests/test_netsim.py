@@ -21,7 +21,6 @@ from fedtrend.netsim import (
     RoundConfig,
     Transcript,
     _round_seeds,
-    _schedule,
     inject_adversary,
     load_transcript,
     run_round,
@@ -155,6 +154,15 @@ def test_conservation_across_seeds():
         agg, _ = run_round(secrets, RoundConfig(seed=seed))
         direct = ordered_sum([s.values for s in secrets])
         assert np.max(np.abs(agg.values - direct)) <= 1e-9
+
+
+def _schedule(batches: list[list], delivery: str, rng) -> list:
+    """Order one phase's items: cycle senders, or shuffle with the rng."""
+    if delivery == "seeded_shuffle":
+        flat = [m for batch in batches for m in batch]
+        return [flat[i] for i in rng.permutation(len(flat))]
+    width = max((len(b) for b in batches), default=0)
+    return [b[i] for i in range(width) for b in batches if i < len(b)]
 
 
 def _reference_round(secrets, cfg, round_index):
@@ -305,28 +313,18 @@ def test_transcript_messages_are_a_view_read_again_on_each_read():
     def as_sends(found):
         return [(r, s, t, k, p.tobytes()) for r, s, t, k, p in found]
 
-    # an index or slice picks what it picks from a list of the sends
-    for index in (0, 5, 11, -1, -12):
-        assert as_sends([messages[index]]) == [sends[index]]
-    for index in (slice(2), slice(3, 9, 2), slice(-2, None), slice(None, None, -3),
-                  slice(7, 1, -2), slice(5, 2), slice(20, None)):
-        assert type(messages[index]) is tuple
-        assert as_sends(messages[index]) == sends[index]
-    for index in (12, -13):
-        with pytest.raises(IndexError):
-            messages[index]
-    assert as_sends(reversed(messages)) == sends[::-1]
     # a tuple given as messages is the transcript's one part, its Messages kept as given
-    head = messages[:2]
+    head = tuple(messages)[:2]
     replaced = dataclasses.replace(transcript, messages=head)
-    assert replaced.messages == head and list(replaced.messages) == list(head)
+    assert replaced is not transcript
+    assert as_sends(replaced.messages) == sends[:2] and list(replaced.messages) == list(head)
     assert [m for part in replaced.parts for m in part()] == list(head)
     assert type(messages + head) is tuple
     assert as_sends(messages + head) == sends + sends[:2]
-    # transcripts over the same parts compare equal; separate reads build separate Messages
-    assert dataclasses.replace(transcript, seed=1) == transcript
-    assert messages != tuple(messages) and replaced != transcript
-    assert hash(replaced) == hash(transcript)
+    # a transcript equals and hashes as itself alone, even over the same parts
+    same_parts = dataclasses.replace(transcript)
+    assert same_parts.parts == transcript.parts and same_parts != transcript
+    assert len({transcript, same_parts, transcript}) == 2
 
 
 @st.composite
@@ -977,7 +975,7 @@ def test_load_transcript_refuses_a_file_changed_after_the_load(tmp_path, change,
     change(lines)
     path.write_bytes(b"".join(lines))
     where = f"^{re.escape(str(path))}: line {lineno}: changed since the transcript was loaded$"
-    for read in (len, list, lambda messages: messages[-1]):
+    for read in (len, list):
         with pytest.raises(ValueError, match=where):
             read(loaded.messages)
     with pytest.raises(ValueError, match=where):
