@@ -231,7 +231,7 @@ def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     total = np.array(vectors[0], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays inf
         for vec in vectors[1:]:
-            total += vec
+            total = total + vec  # in place, numpy may keep the other NaN's payload
     stack = np.asarray(vectors, dtype=np.float64)
     redo = np.flatnonzero(np.isfinite(total) & (np.count_nonzero(stack, axis=0) > 2))
     if redo.size:

@@ -402,6 +402,8 @@ def sum_stacks(draw):
 @example(stack=np.array([[1.7976931348623157e308, 1e308], [1.0, -1e308], [-1e308, 1e308]]))
 @example(stack=np.array([[-0.0], [-0.0]]))
 @example(stack=np.array([[1e100, 0.5], [1.0, 0.25], [-1e100, 0.25]]))
+# two NaNs with different payloads: the sum keeps the reference's payload
+@example(stack=np.array([[0x7FF8000000000000], [0x7FF8000000000001]], dtype=np.uint64).view(np.float64))
 def test_exact_sum_equals_the_two_sum_reference(stack):
     rows = list(stack)
     try:
