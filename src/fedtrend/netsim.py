@@ -8,9 +8,10 @@ result.  Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate is invariant to it
 because every sum of the round is exact on ``secagg``'s grid.
 
-``run_round`` runs a round in O(N·d) memory: it adds each user's block of
-shares into the int64 grid steps of the encoded secrets, drops it, and
-draws it again from her seed when the transcript is read.
+``run_round`` runs a round in O(N·d) memory, two (N, d) arrays at a time:
+it adds each user's block of shares into the int64 grid steps of the
+encoded secrets, takes the block's sum off her own row, drops the block,
+and draws it again from her seed when the transcript's payloads are read.
 ``inject_adversary`` rewrites that round's sends, as they are read, where
 one misbehaving user changes them.
 
@@ -19,7 +20,9 @@ payload) tuples that a ``Message`` also unpacks to, and keeps no message:
 ``Transcript.messages`` can be iterated, counted with ``len`` and added to
 a tuple, and nothing else; each read draws a round's sends again from its
 seeds, or parses a loaded file again, and builds its ``Message``s as it
-goes.  A transcript compares by identity.  ``write_transcript`` saves the
+goes.  A count (``len`` of the messages, ``Transcript.count``) follows the
+same send order with no payload: it draws no share and decodes no loaded
+payload.  A transcript compares by identity.  ``write_transcript`` saves the
 stream, every delivered message in order, as JSON Lines, with each payload
 written as the base64 text of its d little-endian doubles: exact for every
 double, at one C call per message.
@@ -102,7 +105,8 @@ class Message:
 class _MessageView:
     """The ``Message``s of a transcript's parts.  They can be iterated,
     counted with ``len``, and added to a tuple, which gives a tuple; nothing
-    else.  Each read streams them from the parts again and keeps none."""
+    else.  Each read streams them from the parts again and keeps none; a
+    count reads the parts with ``payloads=False``, building no ``Message``."""
 
     __slots__ = ("parts",)
 
@@ -115,7 +119,7 @@ class _MessageView:
                 yield send if type(send) is Message else Message(*send)
 
     def __len__(self) -> int:
-        return sum(1 for part in self.parts for _ in part())
+        return sum(1 for part in self.parts for _ in part(payloads=False))
 
     def __add__(self, other):
         return tuple(self) + other if isinstance(other, tuple) else NotImplemented
@@ -125,16 +129,18 @@ class _MessageView:
 class Transcript:
     """Every delivered message of a run, plus the round parameters.
 
-    ``parts`` are callables that yield the same sends, (round, sender,
-    receiver, kind, payload) with str node names, on every call.
+    ``parts`` are callables ``part(payloads=True)`` that yield the same
+    sends, (round, sender, receiver, kind, payload) with str node names, on
+    every call; ``part(payloads=False)`` yields the same sends but may give
+    each payload as ``None``, so it need not draw or decode one.
     ``messages`` is a ``_MessageView`` over them: it can be iterated,
     counted with ``len`` and added to a tuple, each read draws or parses the
     sends again and builds their ``Message``s as it goes, and nothing is
-    kept.  ``messages=None`` reads ``parts``; a tuple (or another
-    transcript's view) given as ``messages`` becomes the one part.
-    ``write_transcript``, ``count`` and ``transcript_privacy_check`` stream
-    the parts with no ``Message`` at all.  A transcript equals, and hashes
-    as, only itself.
+    kept.  ``messages=None`` reads ``parts``; other ``messages`` (another
+    transcript's view, or any iterable, read once into a tuple) become the
+    one part.  ``write_transcript`` and ``transcript_privacy_check`` stream
+    the parts with no ``Message`` at all, and ``count`` and ``len`` stream
+    them without payloads.  A transcript equals, and hashes as, only itself.
     """
 
     n_users: int
@@ -149,16 +155,19 @@ class Transcript:
         if isinstance(messages, _MessageView):
             parts = messages.parts
         elif messages is not None:
-            parts = (lambda: messages,)
+            messages = tuple(messages)  # read once: an iterator yields its items once
+            parts = (lambda payloads=True: messages,)
         else:
             parts = self.parts
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "messages", _MessageView(parts))
 
     def count(self, kind: MessageKind) -> int:
-        """Messages of ``kind``, counted over the parts' sends, so that no
-        ``Message`` is built."""
-        return sum(1 for part in self.parts for _, _, _, k, _ in part() if k is kind)
+        """Messages of ``kind``, counted over the parts' sends without
+        payloads, so that no ``Message`` is built and no payload drawn or
+        decoded."""
+        sends = (send for part in self.parts for send in part(payloads=False))
+        return sum(1 for _, _, _, k, _ in sends if k is kind)
 
 
 @dataclass(frozen=True)
@@ -221,30 +230,37 @@ def run_round(
     O(N·d) memory; ``ValueError`` for inputs that no round can take."""
     seeds, deliver_seed, f, encoded = _round_seeds(secrets, cfg, round_index)
     n, d, share_range, bounds = len(seeds), encoded.shape[1], cfg.share_range, secrets[0].bounds
-    # row k: steps of her encoded secret + steps received - steps sent
-    net, sent = encoded.astype(np.int64), np.empty((n, d), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        steps = secagg.share_steps(np.random.default_rng(seed), (n, d), share_range, f)
-        net += steps  # the owner's own row, the residual she keeps, cancels in sent
-        steps.sum(axis=0, out=sent[i])
-    net -= sent
     if n == 1:  # a lone user sends her encoded secret, -0.0 and all
         obfuscated = secagg.freeze(np.ldexp(encoded, -f))
         result = FeatureVector(obfuscated[0], bounds)
     else:  # exact: every sum is below 2**53 steps, and grid_bits keeps it finite
+        # row k: steps of her encoded secret + steps received - steps sent
+        net = encoded.astype(np.int64)
+        del encoded
+        for i, seed in enumerate(seeds):
+            steps = secagg.share_steps(np.random.default_rng(seed), (n, d), share_range, f)
+            net += steps  # the owner's own row, the residual she keeps, cancels here
+            net[i] -= steps.sum(axis=0)
+            del steps  # before the next block is drawn
         obfuscated = secagg.freeze(np.ldexp(net, -f))
         total = secagg.freeze(np.ldexp(net.sum(axis=0), -f))
         result = FeatureVector(total, (n * bounds[0], n * bounds[1]))
 
-    def sends():  # the shares drawn again from the seeds
+    def sends(payloads=True):  # the shares drawn again from the seeds
         names = (*map(str, range(n)), AGGREGATOR_ID)
-        rngs = [np.random.default_rng(seed) for seed in seeds]
         deliver = np.random.default_rng(deliver_seed)
         shuffled = cfg.delivery == "seeded_shuffle"
+        if payloads:
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            vectors, broadcast = obfuscated, result.values
+        else:  # a count: the same order, with no share generator and no share
+            vectors, broadcast = (None,) * n, None
         rows = n if shuffled else max(1, _ROW_BUDGET // n)
         held = [(0, ())] * n  # per sender: index of its first held row, and the rows
 
         def share(i, k):  # round robin asks each sender's rows in order, a shuffle any
+            if not payloads:
+                return None
             start, block = held[i]
             while k >= start + len(block):  # the owner's own row is drawn, never sent
                 start += len(block)
@@ -267,9 +283,9 @@ def run_round(
         for i, k in shares:
             yield round_index, names[i], names[k], MessageKind.SHARE, share(i, k)
         for k in order(arrived):
-            yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k]
+            yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, vectors[k]
         for k in order(range(n)):
-            yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, result.values
+            yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, broadcast
 
     return result, Transcript(n, d, share_range, cfg.seed, None, (sends,))
 
@@ -320,11 +336,12 @@ def inject_adversary(
         gains = {(sender, peer): excess, (peer, AGGREGATOR_ID): excess,
                  (sender, AGGREGATOR_ID): -excess}
 
-    def rewritten(broadcast=None):  # the honest sends with the gains, as the wire carries them
-        for r, s, t, kind, payload in part():
-            if kind is MessageKind.AGGREGATE:
+    # the honest sends with the gains, as the wire carries them
+    def rewritten(payloads=True, broadcast=None):
+        for r, s, t, kind, payload in part(payloads):
+            if payloads and kind is MessageKind.AGGREGATE:
                 payload = broadcast
-            elif (s, t) in gains:
+            elif payloads and (s, t) in gains:
                 payload = payload.copy()
                 payload[coordinate] += gains[s, t]
                 secagg.freeze(payload)
@@ -332,7 +349,9 @@ def inject_adversary(
 
     sent = [p for _, _, _, kind, p in rewritten() if kind is MessageKind.OBFUSCATED]
     result = secagg.aggregate(sent, (a, b))
-    transcript = replace(honest, messages=None, parts=(lambda: rewritten(result.values),))
+    transcript = replace(
+        honest, messages=None, parts=(lambda payloads=True: rewritten(payloads, result.values),)
+    )
     return result, transcript, secagg.validate_aggregate(result, n, (a, b))
 
 
@@ -503,18 +522,20 @@ def load_transcript(path: str | Path) -> Transcript:
     CRC-32.  Each read of the transcript's messages parses the file again,
     with the same checks, and raises ``ValueError`` naming the path and the
     first line that has changed, gone or been added since the load, so a
-    read never yields a stream other than the one checked."""
+    read never yields a stream other than the one checked.  A count checks
+    each line's CRC-32 just the same, then reads its round, nodes and kind
+    and leaves the payload undecoded."""
     from array import array  # here, so that run and check never load the module
 
     with open(path, "rb") as handle:  # json.loads decodes each line
         line = handle.readline()
         header = _read_record(path, 1, line, _parse_header)
 
+        def head(rec: dict) -> tuple:  # the send without its payload
+            return _integer(rec, "round", 0), rec["from"], rec["to"], MessageKind(rec["kind"]), None
+
         def parse(rec: dict) -> Message:
-            return Message(
-                _integer(rec, "round", 0), rec["from"], rec["to"], MessageKind(rec["kind"]),
-                _parse_payload(rec["payload"], header.dim),
-            )
+            return Message(*head(rec)[:4], _parse_payload(rec["payload"], header.dim))
 
         sums = array("L", [zlib.crc32(line)])
         for lineno, line in enumerate(handle, start=2):
@@ -522,12 +543,13 @@ def load_transcript(path: str | Path) -> Transcript:
             if line.strip():
                 _read_record(path, lineno, line, parse)
 
-    def sends():  # the same pass again, each line first checked against its sum
+    def sends(payloads=True):  # the same pass again, each line first checked against its sum
+        read = parse if payloads else head
         with open(path, "rb") as handle:
             for lineno, (line, loaded) in enumerate(zip_longest(handle, sums), start=1):
                 if line is None or zlib.crc32(line) != loaded:
                     raise ValueError(f"{path}: line {lineno}: changed since the transcript was loaded")
                 if lineno > 1 and line.strip():
-                    yield _read_record(path, lineno, line, parse)
+                    yield _read_record(path, lineno, line, read)
 
     return replace(header, messages=None, parts=(sends,))

@@ -197,8 +197,12 @@ def encode_steps(values, bounds: tuple[float, float], f: int) -> np.ndarray:
     grid 2**-f inside ``bounds``, as float64 counts of grid steps below 2**53."""
     a, b = bounds
     low, high = math.ceil(math.ldexp(a, f)), math.floor(math.ldexp(b, f))
-    # two ufunc calls take about half the time of np.clip's dispatch
-    return np.minimum(np.maximum(np.round(np.ldexp(values, f)), low), high)
+    steps = np.ldexp(values, f)
+    # in place on the one new array; two ufunc calls take about half the
+    # time of np.clip's dispatch
+    np.round(steps, out=steps)
+    np.maximum(steps, low, out=steps)
+    return np.minimum(steps, high, out=steps)
 
 
 def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedtrend import netsim
+from fedtrend import netsim, secagg
+from fedtrend.experiment import run_experiment
 from fedtrend.netsim import (
     AGGREGATOR_ID,
     DELIVERIES,
@@ -65,6 +67,15 @@ def streamed_sends(transcript) -> list:
     assert reads[0] == reads[1]
     assert all(ref() is None for ref in built)
     return reads[0]
+
+
+def traced_peak(read):
+    """``read()`` and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return read(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def messages_built(monkeypatch):
@@ -132,6 +143,62 @@ def test_count_builds_no_messages(n, monkeypatch):
     assert len(transcript.messages) == n * n + n
     assert built == []
     assert len(streamed_sends(transcript)) == n * n + n
+
+
+class PayloadRead(Exception):
+    """A share drawn or a loaded payload parsed where none should be."""
+
+
+def refuse(*args):
+    raise PayloadRead
+
+
+def assert_counts_match_a_full_read(transcript, monkeypatch) -> dict:
+    """``len`` and ``count`` of ``transcript`` equal the kind tallies of a
+    full read, which are returned, and neither draws a share nor parses a
+    loaded payload."""
+    tally = Counter(m.kind for m in transcript.messages)
+    with monkeypatch.context() as patched:
+        patched.setattr(secagg, "share_steps", refuse)
+        patched.setattr(netsim, "_parse_payload", refuse)
+        assert len(transcript.messages) == sum(tally.values())
+        counts = {kind: transcript.count(kind) for kind in MessageKind}
+    assert counts == {kind: tally[kind] for kind in MessageKind}
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("delivery", DELIVERIES)
+def test_counting_reads_no_payload(delivery, n, tmp_path, monkeypatch):
+    _, transcript = run_round(random_secrets(n, 5, seed=n), RoundConfig(seed=n, delivery=delivery))
+    path = tmp_path / "transcript.jsonl"
+    write_transcript(transcript, path)
+    loaded = load_transcript(path)
+    given = Transcript(n, 5, 100.0, n, tuple(transcript.messages))
+    law = {MessageKind.SHARE: n * (n - 1), MessageKind.OBFUSCATED: n, MessageKind.AGGREGATE: n}
+    for t in (transcript, loaded, given):
+        assert assert_counts_match_a_full_read(t, monkeypatch) == law
+    # the patches bite: a full read draws the shares, or parses the payloads
+    monkeypatch.setattr(secagg, "share_steps", refuse)
+    monkeypatch.setattr(netsim, "_parse_payload", refuse)
+    for t in (transcript, loaded)[n == 1:]:  # a lone user draws no share
+        with pytest.raises(PayloadRead):
+            list(t.messages)
+
+
+def test_counting_a_two_round_experiment_reads_no_payload(experiment_config, monkeypatch):
+    cfg = experiment_config(seed=4, n_users=6, rounds=2)
+    counts = assert_counts_match_a_full_read(run_experiment(cfg).transcript, monkeypatch)
+    assert counts == {MessageKind.SHARE: 60, MessageKind.OBFUSCATED: 12, MessageKind.AGGREGATE: 12}
+
+
+@pytest.mark.parametrize("behavior", list(AdversaryBehavior))
+def test_counting_an_adversary_round_reads_no_payload(behavior, monkeypatch):
+    _, transcript, _ = inject_adversary(
+        random_secrets(4, 3, seed=2), RoundConfig(seed=2), behavior, adversary=1, coordinate=2
+    )
+    counts = assert_counts_match_a_full_read(transcript, monkeypatch)
+    assert counts == {MessageKind.SHARE: 12, MessageKind.OBFUSCATED: 4, MessageKind.AGGREGATE: 4}
 
 
 @pytest.mark.parametrize("n, share_range", [(8, 100.0), (45, 1e6), (13, 13801.6)])
@@ -325,6 +392,16 @@ def test_transcript_messages_are_a_view_read_again_on_each_read():
     same_parts = dataclasses.replace(transcript)
     assert same_parts.parts == transcript.parts and same_parts != transcript
     assert len({transcript, same_parts, transcript}) == 2
+
+
+def test_transcript_reads_a_one_shot_iterable_once():
+    _, transcript = run_round(random_secrets(3, 2, seed=1), RoundConfig(seed=1))
+    sends = streamed_sends(transcript)
+    given = Transcript(3, 2, 100.0, 0, iter(tuple(transcript.messages)))
+    assert len(given.messages) == 12
+    assert len(given.messages) == 12
+    assert given.count(MessageKind.SHARE) == 6
+    assert [(r, s, t, k, p.tobytes()) for r, s, t, k, p in given.messages] == sends
 
 
 @st.composite
@@ -566,13 +643,6 @@ def test_reading_messages_streams_in_n_d_memory(tmp_path):
     path = tmp_path / "transcript.jsonl"
     write_transcript(transcript, path)
 
-    def traced_peak(read):
-        tracemalloc.start()
-        try:
-            return read(), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     loaded, peak = traced_peak(lambda: load_transcript(path))
     assert peak < n * d * 8
     for read in (lambda: len(transcript.messages), lambda: sum(1 for _ in transcript.messages),
@@ -580,6 +650,33 @@ def test_reading_messages_streams_in_n_d_memory(tmp_path):
         count, peak = traced_peak(read)
         assert count == n * n + n
         assert peak < 12 * n * d * 8
+
+
+def test_counting_messages_holds_less_than_one_n_d_block(tmp_path):
+    # a count reads kinds alone; a round-robin read of the payloads holds
+    # about 512 share rows, 8.7 times N·d here
+    n, d = 60, 300
+    _, transcript = run_round(random_secrets(n, d, seed=0), RoundConfig(seed=0))
+    path = tmp_path / "transcript.jsonl"
+    write_transcript(transcript, path)
+    loaded = load_transcript(path)
+    for t in (transcript, loaded):
+        for read, expected in ((lambda: len(t.messages), n * n + n),
+                               (lambda: t.count(MessageKind.SHARE), n * (n - 1))):
+            read()  # warm numpy's and the rngs' caches
+            count, peak = traced_peak(read)
+            assert count == expected
+            assert peak < n * d * 8
+
+
+def test_run_round_holds_two_n_d_arrays():
+    # the int64 net and one share block; a round that kept its float
+    # encoding and a sent array beside them would peak near 5.6 N·d doubles
+    n, d = 60, 300
+    secrets = random_secrets(n, d, seed=0)
+    run_round(secrets, RoundConfig(seed=0))  # warm numpy's and the rngs' caches
+    _, peak = traced_peak(lambda: run_round(secrets, RoundConfig(seed=0)))
+    assert peak < 3 * n * d * 8
 
 
 @pytest.mark.parametrize("behavior", list(AdversaryBehavior))
