@@ -13,7 +13,7 @@ it adds each user's block of shares into the int64 grid steps of the
 encoded secrets, takes the block's sum off her own row, drops the block,
 and draws it again from her seed when the transcript's payloads are read.
 ``inject_adversary`` rewrites that round's sends, as they are read, where
-one misbehaving user changes them.
+one misbehaving user changes them, and reads the honest round once.
 
 Every transcript is one stream of sends, (round, sender, receiver, kind,
 payload) tuples that a ``Message`` also unpacks to, and keeps no message:
@@ -21,11 +21,12 @@ payload) tuples that a ``Message`` also unpacks to, and keeps no message:
 a tuple, and nothing else; each read draws a round's sends again from its
 seeds, or parses a loaded file again, and builds its ``Message``s as it
 goes.  A count (``len`` of the messages, ``Transcript.count``) follows the
-same send order with no payload: it draws no share and decodes no loaded
-payload.  A transcript compares by identity.  ``write_transcript`` saves the
-stream, every delivered message in order, as JSON Lines, with each payload
-written as the base64 text of its d little-endian doubles: exact for every
-double, at one C call per message.
+same send order and leaves out only the payloads a read would draw or
+decode: a round's shares and a loaded file's payloads.  A transcript
+compares by identity.  ``write_transcript`` saves the stream, every
+delivered message in order, as JSON Lines, with each payload written as the
+base64 text of its d little-endian doubles: exact for every double, at one
+C call per message.
 A round's sends are drawn again from its seeds, with no ``Message``:
 ``round_robin`` reaches each sender's rows in order, so a block is drawn a
 few rows at a time, the send order is computed as it goes, and ``run``
@@ -131,16 +132,16 @@ class Transcript:
 
     ``parts`` are callables ``part(payloads=True)`` that yield the same
     sends, (round, sender, receiver, kind, payload) with str node names, on
-    every call; ``part(payloads=False)`` yields the same sends but may give
-    each payload as ``None``, so it need not draw or decode one.
+    every call; ``part(payloads=False)`` gives as ``None`` only a payload
+    it would draw or decode: a round's shares and a loaded file's payloads.
     ``messages`` is a ``_MessageView`` over them: it can be iterated,
     counted with ``len`` and added to a tuple, each read draws or parses the
     sends again and builds their ``Message``s as it goes, and nothing is
     kept.  ``messages=None`` reads ``parts``; other ``messages`` (another
     transcript's view, or any iterable, read once into a tuple) become the
     one part.  ``write_transcript`` and ``transcript_privacy_check`` stream
-    the parts with no ``Message`` at all, and ``count`` and ``len`` stream
-    them without payloads.  A transcript equals, and hashes as, only itself.
+    the parts with no ``Message`` at all, ``count`` and ``len`` with
+    ``payloads=False``.  A transcript equals, and hashes as, only itself.
     """
 
     n_users: int
@@ -163,9 +164,9 @@ class Transcript:
         object.__setattr__(self, "messages", _MessageView(parts))
 
     def count(self, kind: MessageKind) -> int:
-        """Messages of ``kind``, counted over the parts' sends without
-        payloads, so that no ``Message`` is built and no payload drawn or
-        decoded."""
+        """Messages of ``kind``, counted over the parts' sends with
+        ``payloads=False``, so that no ``Message`` is built and no payload
+        drawn or decoded."""
         sends = (send for part in self.parts for send in part(payloads=False))
         return sum(1 for _, _, _, k, _ in sends if k is kind)
 
@@ -250,11 +251,8 @@ def run_round(
         names = (*map(str, range(n)), AGGREGATOR_ID)
         deliver = np.random.default_rng(deliver_seed)
         shuffled = cfg.delivery == "seeded_shuffle"
-        if payloads:
-            rngs = [np.random.default_rng(seed) for seed in seeds]
-            vectors, broadcast = obfuscated, result.values
-        else:  # a count: the same order, with no share generator and no share
-            vectors, broadcast = (None,) * n, None
+        # a count takes the same order with no share generator and no share
+        rngs = [np.random.default_rng(seed) for seed in seeds] if payloads else ()
         rows = n if shuffled else max(1, _ROW_BUDGET // n)
         held = [(0, ())] * n  # per sender: index of its first held row, and the rows
 
@@ -283,9 +281,9 @@ def run_round(
         for i, k in shares:
             yield round_index, names[i], names[k], MessageKind.SHARE, share(i, k)
         for k in order(arrived):
-            yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, vectors[k]
+            yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k]
         for k in order(range(n)):
-            yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, broadcast
+            yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, result.values
 
     return result, Transcript(n, d, share_range, cfg.seed, None, (sends,))
 
@@ -313,8 +311,9 @@ def inject_adversary(
     share for one peer to 2D; the peer's Obfuscated payload carries the
     excess and hers gives it up, so the aggregate is unchanged and only the
     transcript range check trips.  The aggregator sums the Obfuscated
-    payloads as the wire carries them.  Returns the aggregate, transcript,
-    and the aggregator's range-validation report.
+    payloads as the wire carries them, reading the honest round once.
+    Returns the aggregate, the transcript and the aggregator's
+    range-validation report.
     """
     behavior = AdversaryBehavior(behavior)
     n = len(secrets)
@@ -339,15 +338,15 @@ def inject_adversary(
     # the honest sends with the gains, as the wire carries them
     def rewritten(payloads=True, broadcast=None):
         for r, s, t, kind, payload in part(payloads):
-            if payloads and kind is MessageKind.AGGREGATE:
+            if kind is MessageKind.AGGREGATE:
                 payload = broadcast
-            elif payloads and (s, t) in gains:
+            elif payload is not None and (s, t) in gains:
                 payload = payload.copy()
                 payload[coordinate] += gains[s, t]
                 secagg.freeze(payload)
             yield r, s, t, kind, payload
 
-    sent = [p for _, _, _, kind, p in rewritten() if kind is MessageKind.OBFUSCATED]
+    sent = [p for _, _, _, kind, p in rewritten(False) if kind is MessageKind.OBFUSCATED]
     result = secagg.aggregate(sent, (a, b))
     transcript = replace(
         honest, messages=None, parts=(lambda payloads=True: rewritten(payloads, result.values),)

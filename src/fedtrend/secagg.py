@@ -239,7 +239,7 @@ def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     stack = np.asarray(vectors, dtype=np.float64)
     redo = np.flatnonzero(np.isfinite(total) & (np.count_nonzero(stack, axis=0) > 2))
     if redo.size:
-        total[redo] = list(map(math.fsum, stack[:, redo].T.tolist()))
+        total[redo] = [math.fsum(stack[:, j].tolist()) for j in redo]  # a column at a time
     return freeze(total)
 
 

@@ -201,6 +201,34 @@ def test_counting_an_adversary_round_reads_no_payload(behavior, monkeypatch):
     assert counts == {MessageKind.SHARE: 12, MessageKind.OBFUSCATED: 4, MessageKind.AGGREGATE: 4}
 
 
+# the adversary rounds that draw few rows beyond run_round's: under a shuffle,
+# out_of_range_share's lookup of her share draws whole blocks until it reaches it
+FEW_ROW_ADVERSARIES = [
+    (AdversaryBehavior.INFLATE_COORDINATE, "round_robin"),
+    (AdversaryBehavior.INFLATE_COORDINATE, "seeded_shuffle"),
+    (AdversaryBehavior.OUT_OF_RANGE_SHARE, "round_robin"),
+]
+
+
+@pytest.mark.parametrize("behavior, delivery", FEW_ROW_ADVERSARIES)
+def test_adversary_round_draws_each_share_row_once(behavior, delivery, monkeypatch):
+    # run_round draws N blocks of N rows; the Obfuscated payloads the
+    # aggregator sums come from a count of that round, which draws none
+    n, rows, draw = 60, [], secagg.share_steps
+
+    def tally(rng, shape, *args):
+        rows.append(shape[0])
+        return draw(rng, shape, *args)
+
+    monkeypatch.setattr(secagg, "share_steps", tally)
+    cfg = RoundConfig(seed=3, delivery=delivery)
+    inject_adversary(random_secrets(n, 3, seed=3), cfg, behavior, adversary=1, coordinate=2)
+    if behavior is AdversaryBehavior.INFLATE_COORDINATE:
+        assert sum(rows) == n * n
+    else:  # and the first rows of two senders, to find her share for the peer
+        assert n * n < sum(rows) < 2 * n * n
+
+
 @pytest.mark.parametrize("n, share_range", [(8, 100.0), (45, 1e6), (13, 13801.6)])
 def test_delivery_schedules_agree_on_aggregate(n, share_range):
     secrets = random_secrets(n, 12, seed=21)
@@ -679,6 +707,22 @@ def test_run_round_holds_two_n_d_arrays():
     assert peak < 3 * n * d * 8
 
 
+@pytest.mark.parametrize("behavior, delivery", FEW_ROW_ADVERSARIES)
+def test_adversary_round_holds_three_n_d_arrays(behavior, delivery):
+    # run_round's two arrays, then its obfuscated vectors and the aggregator's
+    # stack of them; a second full read of a shuffled round would hold all N blocks
+    n, d = 60, 699
+    secrets = random_secrets(n, d, seed=0)
+    cfg = RoundConfig(seed=0, delivery=delivery)
+
+    def attack():
+        return inject_adversary(secrets, cfg, behavior, adversary=1, coordinate=2)
+
+    attack()  # warm numpy's and the rngs' caches
+    _, peak = traced_peak(attack)
+    assert peak < 3 * n * d * 8
+
+
 @pytest.mark.parametrize("behavior", list(AdversaryBehavior))
 def test_adversary_round_holds_no_messages(behavior):
     # the returned transcript draws its sends again when read, as run_round's does
@@ -709,6 +753,23 @@ def test_non_finite_inflation_is_flagged(amount):
     assert [j for j, _ in report.flagged] == [2]
     assert np.isfinite(agg.values[:2]).all()
     assert np.array_equal(agg.values[2:], [amount], equal_nan=True)
+
+
+@pytest.mark.parametrize("amount", [None, 0.5, np.inf, np.nan])
+@pytest.mark.parametrize("delivery", DELIVERIES)
+@pytest.mark.parametrize("behavior", list(AdversaryBehavior))
+def test_adversary_aggregate_sums_what_its_transcript_carries(behavior, delivery, amount):
+    # the aggregate comes from a count of the round, the transcript from a full read
+    n = 5
+    agg, transcript, _ = inject_adversary(
+        random_secrets(n, 4, seed=7), RoundConfig(seed=7, delivery=delivery), behavior,
+        adversary=2, coordinate=1, amount=amount,
+    )
+    messages = list(transcript.messages)
+    sent = [m.payload for m in messages if m.kind is MessageKind.OBFUSCATED]
+    assert aggregate(sent, (0.0, 1.0)).values.tobytes() == agg.values.tobytes()
+    broadcasts = [m.payload.tobytes() for m in messages if m.kind is MessageKind.AGGREGATE]
+    assert broadcasts == [agg.values.tobytes()] * n
 
 
 @pytest.mark.parametrize("delivery", DELIVERIES)
