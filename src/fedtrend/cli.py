@@ -12,8 +12,9 @@ builds the parser of the command named first alone, and of all four for
 no arguments, ``-h`` or a word that is no command; the help, usage lines
 and errors are the same either way.
 
-Exit codes: 0 success, 1 check mismatch, 2 configuration error (a
-degenerate IDF table among them), 4 range-validation failure.
+Exit codes: 0 success, 1 check mismatch (or, for ``run`` and ``aggregate``,
+a round whose shares do not cancel in its transcript), 2 configuration
+error (a degenerate IDF table among them), 4 range-validation failure.
 """
 
 from __future__ import annotations
@@ -270,9 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, corpus.CorpusFormatError, OSError) as exc:
+    except (ConfigError, corpus.CorpusFormatError, OSError, netsim.CancellationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_MISMATCH if isinstance(exc, netsim.CancellationError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 Loads a corpus, IDF table and stopwords, samples virtual users, runs the
 federated pipeline (preprocess -> per-user likelihoods -> secure
 aggregation round -> posterior ranking), and writes rankings, the protocol
-transcript, and run metadata.  The two non-private baselines, which only
-``rankings.md`` shows, are built when first read: ``check`` builds neither.
-The oracle, ``meta["oracle_match"]``, holds when every round's aggregate
-equals the share-free sum of the encoded likelihoods
-(``secagg.encoded_sum``) bit for bit; equal sums rank equally.
+transcript, and run metadata.  Shares are generated and delivered only as
+``write_outputs`` writes the transcript, and the two non-private baselines,
+which only ``rankings.md`` shows, are built when first read: ``check``
+does neither.  The oracle, ``meta["oracle_match"]``, holds when every
+round's aggregate equals ``secagg.encoded_sum`` bit for bit.
 """
 
 from __future__ import annotations

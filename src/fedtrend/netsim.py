@@ -8,30 +8,24 @@ result.  Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate is invariant to it
 because every sum of the round is exact on ``secagg``'s grid.
 
-``run_round`` runs a round in O(N·d) memory, two (N, d) arrays at a time:
-it adds each user's block of shares into the int64 grid steps of the
-encoded secrets, takes the block's sum off her own row, drops the block,
-and draws it again from her seed when the transcript's payloads are read.
-``inject_adversary`` rewrites that round's sends, as they are read, where
-one misbehaving user changes them, and reads the honest round once.
+``run_round`` draws no share: the shares cancel in the aggregate, the int64
+sum of the encoded secrets' grid steps, so ``check`` draws none.  They exist
+only in a round's transcript: each read draws them from the seeds, each row
+once, adds them into the encoded secrets' steps, yields the Obfuscated
+vectors from those steps, and raises ``CancellationError`` before the
+broadcast unless those sum to the aggregate.  ``inject_adversary`` rewrites
+a round's sends, as they are read, where one misbehaving user changes them.
 
 Every transcript is one stream of sends, (round, sender, receiver, kind,
-payload) tuples that a ``Message`` also unpacks to, and keeps no message:
-``Transcript.messages`` can be iterated, counted with ``len`` and added to
-a tuple, and nothing else; each read draws a round's sends again from its
-seeds, or parses a loaded file again, and builds its ``Message``s as it
-goes.  A count (``len`` of the messages, ``Transcript.count``) follows the
-same send order and leaves out only the payloads a read would draw or
-decode: a round's shares and a loaded file's payloads.  A transcript
-compares by identity.  ``write_transcript`` saves the stream, every
-delivered message in order, as JSON Lines, with each payload written as the
-base64 text of its d little-endian doubles: exact for every double, at one
-C call per message.
-A round's sends are drawn again from its seeds, with no ``Message``:
-``round_robin`` reaches each sender's rows in order, so a block is drawn a
-few rows at a time, the send order is computed as it goes, and ``run``
-writes and a read streams in O(N·d) memory; ``seeded_shuffle`` may send any
-share first, so it draws whole blocks and lists its N(N-1) sends.
+payload) tuples that a ``Message`` also unpacks to, and keeps no message
+(see ``Transcript``); a count follows the same send order with no payload
+drawn or decoded.  ``write_transcript`` saves the stream as JSON Lines,
+each payload the base64 text of its d little-endian doubles: exact for
+every double, at one C call per message.  ``round_robin`` reaches each
+sender's rows in order, so a block is drawn a few rows at a time, the send
+order is computed as it goes, and ``run`` writes and a read streams in
+O(N·d) memory; ``seeded_shuffle`` may send any share first, so it draws
+whole blocks and lists its N(N-1) sends.
 """
 
 from __future__ import annotations
@@ -57,6 +51,7 @@ __all__ = [
     "AGGREGATOR_ID",
     "DELIVERIES",
     "AdversaryBehavior",
+    "CancellationError",
     "Message",
     "MessageKind",
     "PrivacyReport",
@@ -84,6 +79,10 @@ class MessageKind(Enum):
 class AdversaryBehavior(Enum):
     INFLATE_COORDINATE = "inflate_coordinate"
     OUT_OF_RANGE_SHARE = "out_of_range_share"
+
+
+class CancellationError(ValueError):
+    """A round's Obfuscated vectors do not sum to its aggregate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,15 +132,13 @@ class Transcript:
     ``parts`` are callables ``part(payloads=True)`` that yield the same
     sends, (round, sender, receiver, kind, payload) with str node names, on
     every call; ``part(payloads=False)`` gives as ``None`` only a payload
-    it would draw or decode: a round's shares and a loaded file's payloads.
-    ``messages`` is a ``_MessageView`` over them: it can be iterated,
-    counted with ``len`` and added to a tuple, each read draws or parses the
-    sends again and builds their ``Message``s as it goes, and nothing is
-    kept.  ``messages=None`` reads ``parts``; other ``messages`` (another
+    it would draw or decode: a round's shares and Obfuscated vectors, a
+    loaded file's payloads.  ``messages`` is a ``_MessageView`` over them.
+    ``messages=None`` reads ``parts``; other ``messages`` (another
     transcript's view, or any iterable, read once into a tuple) become the
     one part.  ``write_transcript`` and ``transcript_privacy_check`` stream
-    the parts with no ``Message`` at all, ``count`` and ``len`` with
-    ``payloads=False``.  A transcript equals, and hashes as, only itself.
+    the parts with no ``Message`` at all.  A transcript equals, and hashes
+    as, only itself.
     """
 
     n_users: int
@@ -227,27 +224,14 @@ _ROW_BUDGET = 512
 def run_round(
     secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
 ) -> tuple[FeatureVector, Transcript]:
-    """Run one honest aggregation round over the users' secret vectors, in
-    O(N·d) memory; ``ValueError`` for inputs that no round can take."""
+    """Run one honest aggregation round over the users' secret vectors, with
+    no share drawn; ``ValueError`` for inputs that no round can take."""
     seeds, deliver_seed, f, encoded = _round_seeds(secrets, cfg, round_index)
-    n, d, share_range, bounds = len(seeds), encoded.shape[1], cfg.share_range, secrets[0].bounds
-    if n == 1:  # a lone user sends her encoded secret, -0.0 and all
-        obfuscated = secagg.freeze(np.ldexp(encoded, -f))
-        result = FeatureVector(obfuscated[0], bounds)
-    else:  # exact: every sum is below 2**53 steps, and grid_bits keeps it finite
-        # row k: steps of her encoded secret + steps received - steps sent
-        net = encoded.astype(np.int64)
-        del encoded
-        for i, seed in enumerate(seeds):
-            steps = secagg.share_steps(np.random.default_rng(seed), (n, d), share_range, f)
-            net += steps  # the owner's own row, the residual she keeps, cancels here
-            net[i] -= steps.sum(axis=0)
-            del steps  # before the next block is drawn
-        obfuscated = secagg.freeze(np.ldexp(net, -f))
-        total = secagg.freeze(np.ldexp(net.sum(axis=0), -f))
-        result = FeatureVector(total, (n * bounds[0], n * bounds[1]))
+    n, d, share_range, (a, b) = len(seeds), encoded.shape[1], cfg.share_range, secrets[0].bounds
+    result = FeatureVector(secagg.sum_steps(encoded, f), (n * a, n * b))
+    values = [s.values for s in secrets]  # read-only: a read encodes them again
 
-    def sends(payloads=True):  # the shares drawn again from the seeds
+    def sends(payloads=True):  # the shares, drawn from the seeds on each read
         names = (*map(str, range(n)), AGGREGATOR_ID)
         deliver = np.random.default_rng(deliver_seed)
         shuffled = cfg.delivery == "seeded_shuffle"
@@ -255,14 +239,18 @@ def run_round(
         rngs = [np.random.default_rng(seed) for seed in seeds] if payloads else ()
         rows = n if shuffled else max(1, _ROW_BUDGET // n)
         held = [(0, ())] * n  # per sender: index of its first held row, and the rows
+        # row k: her encoded steps + received - sent, in int64 (a lone user's keeps -0.0)
+        net = secagg.encode_steps(values, (a, b), f) if payloads else None
+        net = net.astype(np.int64) if payloads and n > 1 else net
 
         def share(i, k):  # round robin asks each sender's rows in order, a shuffle any
             if not payloads:
                 return None
             start, block = held[i]
-            while k >= start + len(block):  # the owner's own row is drawn, never sent
+            while k >= start + len(block):
                 start += len(block)
                 steps = secagg.share_steps(rngs[i], (min(rows, n - start), d), share_range, f)
+                _add_shares(net, i, start, steps)
                 block = secagg.freeze(np.ldexp(steps, -f))
                 held[i] = start, block
             return block[k - start]
@@ -280,12 +268,21 @@ def run_round(
             arrived = [*range(n - 2), n - 1, n - 2][:n]
         for i, k in shares:
             yield round_index, names[i], names[k], MessageKind.SHARE, share(i, k)
+        obfuscated = secagg.freeze(np.ldexp(net, -f)) if payloads else (None,) * n
         for k in order(arrived):
             yield round_index, names[k], AGGREGATOR_ID, MessageKind.OBFUSCATED, obfuscated[k]
+        if payloads and secagg.sum_steps(net, f).tobytes() != result.values.tobytes():
+            raise CancellationError(f"round {round_index}: the shares do not cancel in the sum")
         for k in order(range(n)):
             yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, result.values
 
     return result, Transcript(n, d, share_range, cfg.seed, None, (sends,))
+
+
+def _add_shares(net: np.ndarray, i: int, start: int, steps: np.ndarray) -> None:
+    """Add a chunk of sender i's steps, rows ``start``.., into net, and its sum off her row."""
+    net[start:start + len(steps)] += steps
+    net[i] -= steps.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +308,8 @@ def inject_adversary(
     share for one peer to 2D; the peer's Obfuscated payload carries the
     excess and hers gives it up, so the aggregate is unchanged and only the
     transcript range check trips.  The aggregator sums the Obfuscated
-    payloads as the wire carries them, reading the honest round once.
-    Returns the aggregate, the transcript and the aggregator's
-    range-validation report.
+    payloads as the wire carries them, from whole share blocks drawn one at
+    a time.  Returns the aggregate, transcript and range-validation report.
     """
     behavior = AdversaryBehavior(behavior)
     n = len(secrets)
@@ -324,30 +320,39 @@ def inject_adversary(
     _, honest = run_round(secrets, cfg)
     if not 0 <= coordinate < honest.dim:
         raise ValueError("coordinate index out of range")
-    (part,) = honest.parts  # its sends, drawn again from the seeds on each call
+    (part,) = honest.parts  # its sends, drawn from the seeds on each call
+    seeds, _, f, net = _round_seeds(secrets, cfg, 0)
     a, b = secrets[0].bounds
     sender, peer = str(adversary), str(int(adversary == 0))
     if behavior is AdversaryBehavior.INFLATE_COORDINATE:
         gains = {(sender, AGGREGATOR_ID): n * (b - a) + 1.0 if amount is None else amount}
-    else:
-        share = next(p for _, s, t, _, p in part() if (s, t) == (sender, peer))
-        excess = 2.0 * cfg.share_range - share[coordinate]
+    else:  # her share for the peer: the first rows of her block, as a whole draw gives them
+        rng = np.random.default_rng(seeds[adversary])
+        share = secagg.share_steps(rng, (int(peer) + 1, honest.dim), cfg.share_range, f)[-1]
+        excess = 2.0 * cfg.share_range - np.ldexp(share[coordinate], -f)
         gains = {(sender, peer): excess, (peer, AGGREGATOR_ID): excess,
                  (sender, AGGREGATOR_ID): -excess}
+    net = net.astype(np.int64)  # the Obfuscated vectors, each sender's block drawn whole
+    for i, seed in enumerate(seeds):  # and dropped before the next is drawn
+        rng = np.random.default_rng(seed)
+        _add_shares(net, i, 0, secagg.share_steps(rng, net.shape, cfg.share_range, f))
 
     # the honest sends with the gains, as the wire carries them
-    def rewritten(payloads=True, broadcast=None):
+    def rewritten(payloads=True, broadcast=None, obfuscated=(None,) * n):
         for r, s, t, kind, payload in part(payloads):
             if kind is MessageKind.AGGREGATE:
                 payload = broadcast
-            elif payload is not None and (s, t) in gains:
+            elif kind is MessageKind.OBFUSCATED and not payloads:
+                payload = obfuscated[int(s)]
+            if payload is not None and (s, t) in gains:
                 payload = payload.copy()
                 payload[coordinate] += gains[s, t]
                 secagg.freeze(payload)
             yield r, s, t, kind, payload
 
-    sent = [p for _, _, _, kind, p in rewritten(False) if kind is MessageKind.OBFUSCATED]
-    result = secagg.aggregate(sent, (a, b))
+    sent = rewritten(False, obfuscated=np.ldexp(net, -f))
+    del net
+    result = secagg.aggregate([p for _, _, _, k, p in sent if k is MessageKind.OBFUSCATED], (a, b))
     transcript = replace(
         honest, messages=None, parts=(lambda payloads=True: rewritten(payloads, result.values),)
     )
@@ -471,8 +476,8 @@ def transcript_to_jsonl(transcript: Transcript) -> str:
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
     """Write ``transcript_to_jsonl(transcript)`` to ``path``, line by line,
-    drawing each round's shares again: a few rows of each block at a time
-    under ``round_robin``, all N blocks under ``seeded_shuffle``."""
+    drawing each round's shares, each row once: a few rows of each block at
+    a time under ``round_robin``, all N blocks under ``seeded_shuffle``."""
     with open(path, "wb", buffering=1 << 16) as handle:  # a write call per ~8 lines at d = 699
         handle.writelines(_jsonl_lines(transcript))
 

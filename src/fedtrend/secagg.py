@@ -61,6 +61,7 @@ __all__ = [
     "ordered_sum",
     "seeded_rng",
     "share_steps",
+    "sum_steps",
     "validate_aggregate",
 ]
 
@@ -213,12 +214,15 @@ def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:
 def encoded_sum(secrets: Sequence[FeatureVector], share_range: float) -> np.ndarray:
     """The aggregate of an honest round over ``secrets`` with share range
     ``share_range``, read-only: the sum of the encoded secrets, as it sums them."""
-    n, bounds = len(secrets), secrets[0].bounds
-    f = grid_bits(n, share_range, bounds)
-    steps = encode_steps([s.values for s in secrets], bounds, f)
-    if n == 1:  # a lone user's aggregate is her encoded vector, -0.0 and all
+    f = grid_bits(len(secrets), share_range, secrets[0].bounds)
+    return sum_steps(encode_steps([s.values for s in secrets], secrets[0].bounds, f), f)
+
+
+def sum_steps(steps: np.ndarray, f: int) -> np.ndarray:
+    """The rows of ``steps``, counts of steps 2**-f, summed exactly: a lone row keeps -0.0."""
+    if len(steps) == 1:
         return freeze(np.ldexp(steps[0], -f))
-    return freeze(np.ldexp(steps.astype(np.int64).sum(axis=0), -f))
+    return freeze(np.ldexp(steps.astype(np.int64, copy=False).sum(axis=0), -f))
 
 
 def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:

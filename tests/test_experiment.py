@@ -454,6 +454,55 @@ def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
     assert len(lines) == 1 + 2 * (20 * 20 + 20)
 
 
+def _share_rows_drawn(monkeypatch) -> list:
+    """The rows of each ``secagg.share_steps`` draw from now on, as drawn."""
+    rows, draw = [], secagg.share_steps
+
+    def tally(rng, shape, *args):
+        rows.append(shape[0])
+        return draw(rng, shape, *args)
+
+    monkeypatch.setattr(secagg, "share_steps", tally)
+    return rows
+
+
+def test_check_draws_no_share_and_run_draws_each_row_once(monkeypatch, tmp_path):
+    n, argv = 20, ["--users", "20", "--rounds", "2", "--seed", "0"]
+    rows = _share_rows_drawn(monkeypatch)
+    assert cli.main(["check", *argv]) == 0
+    assert rows == []
+    # run draws each round's shares once, as it writes them: N blocks of N rows
+    assert cli.main(["run", *argv, "--out", str(tmp_path / "out")]) == 0
+    assert sum(rows) == 2 * n * n
+
+
+def test_aggregate_draws_each_share_row_once(monkeypatch, tmp_path):
+    n, vectors = 6, tmp_path / "vectors.jsonl"
+    vectors.write_text("".join(f'{{"values": [0.{k}, 0.5]}}\n' for k in range(n)))
+    rows = _share_rows_drawn(monkeypatch)
+    argv = ["aggregate", "--vectors", str(vectors), "--seed", "0", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    assert sum(rows) == n * n
+
+
+@pytest.mark.parametrize("command", ["run", "aggregate"])
+def test_shares_that_do_not_cancel_exit_1(command, monkeypatch, capsys, tmp_path):
+    # a chunk added to its receivers' rows but not taken off its sender's:
+    # the Obfuscated vectors no longer sum to the aggregate
+    def leaky(net, i, start, steps):
+        net[start:start + len(steps)] += steps
+
+    monkeypatch.setattr(netsim, "_add_shares", leaky)
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text('{"values": [0.2, 0.4]}\n{"values": [0.3, 0.1]}\n', encoding="utf-8")
+    argv = {"run": ["run", "--users", "10", "--rounds", "2"],
+            "aggregate": ["aggregate", "--vectors", str(vectors)]}[command]
+    assert cli.main([*argv, "--seed", "0", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: round 0: the shares do not cancel in the sum\n"
+    assert "Traceback" not in err and out == ""
+
+
 def test_cli_check_derives_one_grid_per_round(monkeypatch):
     calls = Counter()
     for name in ("grid_bits", "encode_steps"):

@@ -201,19 +201,20 @@ def test_counting_an_adversary_round_reads_no_payload(behavior, monkeypatch):
     assert counts == {MessageKind.SHARE: 12, MessageKind.OBFUSCATED: 4, MessageKind.AGGREGATE: 4}
 
 
-# the adversary rounds that draw few rows beyond run_round's: under a shuffle,
-# out_of_range_share's lookup of her share draws whole blocks until it reaches it
+# the adversary rounds that draw few rows beyond their N blocks: every one, since
+# out_of_range_share draws the first rows of her block alone under both deliveries
 FEW_ROW_ADVERSARIES = [
     (AdversaryBehavior.INFLATE_COORDINATE, "round_robin"),
     (AdversaryBehavior.INFLATE_COORDINATE, "seeded_shuffle"),
     (AdversaryBehavior.OUT_OF_RANGE_SHARE, "round_robin"),
+    (AdversaryBehavior.OUT_OF_RANGE_SHARE, "seeded_shuffle"),
 ]
 
 
 @pytest.mark.parametrize("behavior, delivery", FEW_ROW_ADVERSARIES)
 def test_adversary_round_draws_each_share_row_once(behavior, delivery, monkeypatch):
-    # run_round draws N blocks of N rows; the Obfuscated payloads the
-    # aggregator sums come from a count of that round, which draws none
+    # run_round draws none; the Obfuscated payloads the aggregator sums come
+    # from N blocks of N rows, each drawn whole
     n, rows, draw = 60, [], secagg.share_steps
 
     def tally(rng, shape, *args):
@@ -225,8 +226,38 @@ def test_adversary_round_draws_each_share_row_once(behavior, delivery, monkeypat
     inject_adversary(random_secrets(n, 3, seed=3), cfg, behavior, adversary=1, coordinate=2)
     if behavior is AdversaryBehavior.INFLATE_COORDINATE:
         assert sum(rows) == n * n
-    else:  # and the first rows of two senders, to find her share for the peer
+    else:  # and the first rows of her block, up to her share for the peer
         assert n * n < sum(rows) < 2 * n * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("delivery", DELIVERIES)
+def test_run_round_draws_no_share(delivery, n, monkeypatch):
+    # the shares cancel in the aggregate, so the round sums the encoded secrets alone
+    secrets = random_secrets(n, 5, seed=n)
+    monkeypatch.setattr(secagg, "share_steps", refuse)
+    agg, transcript = run_round(secrets, RoundConfig(seed=n, delivery=delivery), 1)
+    assert agg.values.tobytes() == encoded_sum(secrets, 100.0).tobytes()
+    assert len(transcript.messages) == n * n + n
+
+
+@pytest.mark.parametrize("delivery", DELIVERIES)
+def test_a_read_whose_shares_do_not_cancel_names_its_round(delivery, monkeypatch):
+    # a chunk added to its receivers' rows but not taken off its sender's
+    def leaky(net, i, start, steps):
+        net[start:start + len(steps)] += steps
+
+    _, transcript = run_round(random_secrets(4, 3, seed=2), RoundConfig(2, delivery=delivery), 1)
+    assert len(streamed_sends(transcript)) == 20
+    monkeypatch.setattr(netsim, "_add_shares", leaky)
+    kinds = []
+    with pytest.raises(netsim.CancellationError, match=r"^round 1: ") as exc:
+        for message in transcript.messages:
+            kinds.append(message.kind)
+    assert isinstance(exc.value, ValueError)
+    # raised before the broadcast, once every Obfuscated vector is out
+    assert Counter(kinds) == {MessageKind.SHARE: 12, MessageKind.OBFUSCATED: 4}
+    assert len(transcript.messages) == 20  # a count draws no share, so checks none
 
 
 @pytest.mark.parametrize("n, share_range", [(8, 100.0), (45, 1e6), (13, 13801.6)])
@@ -709,8 +740,9 @@ def test_run_round_holds_two_n_d_arrays():
 
 @pytest.mark.parametrize("behavior, delivery", FEW_ROW_ADVERSARIES)
 def test_adversary_round_holds_three_n_d_arrays(behavior, delivery):
-    # run_round's two arrays, then its obfuscated vectors and the aggregator's
-    # stack of them; a second full read of a shuffled round would hold all N blocks
+    # the Obfuscated vectors' int64 steps and one share block, then those
+    # vectors and the aggregator's stack of them; a read of a shuffled round
+    # would hold all N blocks
     n, d = 60, 699
     secrets = random_secrets(n, d, seed=0)
     cfg = RoundConfig(seed=0, delivery=delivery)
