@@ -29,6 +29,7 @@ __all__ = [
     "column_likelihoods",
     "compute_local_likelihood",
     "compute_prior",
+    "likelihood_vectors",
     "local_likelihoods",
     "posterior_scores",
     "rank_rounds",
@@ -148,25 +149,27 @@ def local_likelihoods(
     and each user is a row of copies per document (``document_columns``).
     """
     copies, primary, _ = document_columns(all_users_docs, vocab, k)
-    return column_likelihoods(primary, copies, alpha0)
+    return likelihood_vectors(column_likelihoods(primary, copies, alpha0))
 
 
 def column_likelihoods(
     primary: DocumentColumns, copies: np.ndarray, alpha0: float = 0.0
-) -> list[LikelihoodVector]:
+) -> np.ndarray:
     """``local_likelihoods`` from primary keyword columns and one row of
-    copies per user: one weighted ``bincount`` for all users, exact integers
-    until the final division, and each user's vector a row of one frozen
-    array."""
+    copies per user, as the rows of one frozen (N, d) array: one weighted
+    ``bincount`` for all users, exact integers until the final division."""
     if alpha0 < 0:
         raise ValueError("alpha0 must be nonnegative")
     counts = primary.weighted_sum(copies)
     if alpha0 > 0:
         counts += alpha0
     totals = counts.sum(axis=1, keepdims=True)
-    values = freeze(counts / np.where(totals > 0, totals, 1.0))  # all-zero rows stay 0
-    vectors = (FeatureVector(values=row, bounds=(0.0, 1.0)) for row in values)
-    return [LikelihoodVector(user_id=str(i), values=fv) for i, fv in enumerate(vectors)]
+    return freeze(counts / np.where(totals > 0, totals, 1.0))  # all-zero rows stay 0
+
+
+def likelihood_vectors(values: np.ndarray) -> list[LikelihoodVector]:
+    """Row i of frozen likelihoods ``values`` as user str(i)'s vector, in the same memory."""
+    return [LikelihoodVector(str(i), FeatureVector(r, (0.0, 1.0))) for i, r in enumerate(values)]
 
 
 def compute_local_likelihood(

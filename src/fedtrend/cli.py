@@ -88,10 +88,9 @@ def _config_from(cls, args: argparse.Namespace):
     return cls(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
 
 
-def _load_vectors(
-    path: str, bounds: tuple[float, float] | None = None
-) -> list[tuple[str, np.ndarray]]:
-    """JSONL vector file: one {"id": ..., "values": [...]} object per line.
+def _load_vectors(path: str, bounds: tuple[float, float] | None = None) -> np.ndarray:
+    """JSONL vector file, one {"id": ..., "values": [...]} object per line,
+    as the rows of one read-only array.
 
     Values must be a non-empty flat list of finite numbers, inside
     ``bounds`` when given; a record that breaks this is a configuration
@@ -112,7 +111,7 @@ def _load_vectors(
         try:  # np.asarray would read "0.5" and true as numbers
             if isinstance(raw, list) and any(isinstance(x, (str, bool)) for x in raw):
                 raise TypeError("a string or boolean entry")
-            values = secagg.freeze(np.asarray(raw, dtype=np.float64))
+            values = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: values are not numbers ({exc})")
         if values.ndim != 1 or values.size == 0:
@@ -121,20 +120,17 @@ def _load_vectors(
             raise ConfigError(f"{where}: non-finite value")
         if bounds and not bounds[0] <= values.min() <= values.max() <= bounds[1]:
             raise ConfigError(f"{where}: values outside [{bounds[0]:g}, {bounds[1]:g}]")
-        vectors.append((record_id, values))
+        vectors.append(values)
     if not vectors:
         raise ConfigError(f"{path}: no vectors found")
-    dims = {v.shape for _, v in vectors}
-    if len(dims) != 1:
+    if len({v.shape for v in vectors}) != 1:
         raise ConfigError(f"{path}: vectors disagree on dimension")
-    return vectors
+    return secagg.freeze(np.array(vectors))
 
 
-def _raw_error_line(aggregate, secrets, share_range: float) -> str:
-    """A round's max |aggregate - exact sum of the raw secrets|, and its grid step."""
-    raw = secagg.exact_sum([s.values for s in secrets])
-    error = np.max(np.abs(aggregate.values - raw))
-    f = secagg.grid_bits(len(secrets), share_range, secrets[0].bounds)
+def _raw_error_line(aggregate, values, transcript: netsim.Transcript) -> str:
+    """A round's max |aggregate - exact sum of the rows of ``values``|, and its grid step."""
+    f, error = transcript.grid_bits, np.max(np.abs(aggregate.values - secagg.exact_sum(values)))
     return f"max |aggregate - raw sum| = {error:g} (grid step 2^{-f} = {2.0 ** -f:g})"
 
 
@@ -154,8 +150,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     result = run_experiment(_config_from(ExperimentConfig, args))
     if result.meta["oracle_match"]:
         print(f"oracle check passed: {len(result.vocab)} keywords, seed {args.seed}")
-        secrets = [lk.values for lk in result.likelihoods]
-        print(_raw_error_line(result.aggregate, secrets, result.config.share_range))
+        print(_raw_error_line(result.aggregate, result.likelihood_rows, result.transcript))
         return EXIT_OK
     failed = "a round's aggregate differs from the share-free sum of the encoded likelihoods"
     print(f"oracle check FAILED: {failed}", file=sys.stderr)
@@ -163,30 +158,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    vectors = _load_vectors(args.vectors)
+    values = _load_vectors(args.vectors)
     a, b = args.bounds
     if not a <= b:
         raise ConfigError(f"invalid bounds: {args.bounds}")
     # Vectors outside the declared bounds are exactly what range validation
     # exists to catch, so run the round under the widest envelope and
     # validate the aggregate against the declared per-user range.
-    lo = min(a, min(float(v.min()) for _, v in vectors))
-    hi = max(b, max(float(v.max()) for _, v in vectors))
-    secrets = [secagg.FeatureVector(values=v, bounds=(lo, hi)) for _, v in vectors]
+    lo, hi = min(a, float(values.min())), max(b, float(values.max()))
     try:
         cfg = _config_from(netsim.RoundConfig, args)
-        aggregate, transcript = netsim.run_round(secrets, cfg)
+        aggregate, transcript = netsim.run_round(secagg.Rows(values, (lo, hi)), cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = secagg.validate_aggregate(aggregate, len(secrets), (a, b))
+    report = secagg.validate_aggregate(aggregate, len(values), (a, b))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["coordinate,value"]
     lines += [f"{j},{format(x, '.17g')}" for j, x in enumerate(aggregate.values)]
     (out / "aggregate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     netsim.write_transcript(transcript, out / "transcript.jsonl")
-    print(f"aggregated {len(secrets)} vectors of dimension {len(aggregate)}")
-    print(_raw_error_line(aggregate, secrets, cfg.share_range))
+    print(f"aggregated {len(values)} vectors of dimension {len(aggregate)}")
+    print(_raw_error_line(aggregate, values, transcript))
     if not report.ok:
         print("range validation FAILED:", report.flagged, file=sys.stderr)
         return EXIT_RANGE
@@ -195,14 +188,13 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     # likelihoods lie in [0, 1], which also keeps the score grid finite
-    vectors = _load_vectors(args.likelihoods, bounds=(0.0, 1.0))
+    values = _load_vectors(args.likelihoods, bounds=(0.0, 1.0))
     vocab = corpus.load_idf_table(args.idf)
-    if any(v.shape[0] != len(vocab) for _, v in vectors):
+    if values.shape[1] != len(vocab):
         raise ConfigError("likelihood vectors do not match the vocabulary size")
-    secrets = [secagg.FeatureVector(values=v) for _, v in vectors]
-    total = secagg.encoded_sum(secrets, secagg.DEFAULT_SHARE_RANGE)
+    total = secagg.encoded_sum(secagg.Rows(values), secagg.DEFAULT_SHARE_RANGE)
     prior = bayes.compute_prior(vocab)
-    ranking = bayes.rank_rounds([total], prior, len(vectors), args.agg)[0]
+    ranking = bayes.rank_rounds([total], prior, len(values), args.agg)[0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rankings.csv").write_text(rankings_csv(vocab, ranking), encoding="utf-8")

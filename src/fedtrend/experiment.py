@@ -3,11 +3,12 @@
 Loads a corpus, IDF table and stopwords, samples virtual users, runs the
 federated pipeline (preprocess -> per-user likelihoods -> secure
 aggregation round -> posterior ranking), and writes rankings, the protocol
-transcript, and run metadata.  Shares are generated and delivered only as
-``write_outputs`` writes the transcript, and the two non-private baselines,
-which only ``rankings.md`` shows, are built when first read: ``check``
-does neither.  The oracle, ``meta["oracle_match"]``, holds when every
-round's aggregate equals ``secagg.encoded_sum`` bit for bit.
+transcript, and run metadata.  The users' likelihoods are the rows of one
+array; each user's own vector, the two non-private baselines (which only
+``rankings.md`` shows), a round's seeds and its shares are made only when
+first read, the last two as ``write_outputs`` writes the transcript, so
+``check`` makes none of them.  The oracle, ``meta["oracle_match"]``, holds
+when every round's aggregate equals ``secagg.encoded_sum`` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -98,10 +99,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """Row i of ``likelihood_rows`` is user i's likelihoods; ``likelihoods`` wraps it when read."""
+
     config: ExperimentConfig
     vocab: corpus.VocabularyIndex
     user_docs: list[list[corpus.Document]]
-    likelihoods: list[bayes.LikelihoodVector]
+    likelihood_rows: np.ndarray
     initial_prior: bayes.PriorDistribution
     aggregate: secagg.FeatureVector
     validation: secagg.RangeReport
@@ -113,6 +116,11 @@ class ExperimentResult:
     meta: dict = field(default_factory=dict)
 
     @functools.cached_property
+    def likelihoods(self) -> list[bayes.LikelihoodVector]:
+        """User str(i)'s likelihoods over row i of ``likelihood_rows``."""
+        return bayes.likelihood_vectors(self.likelihood_rows)
+
+    @functools.cached_property
     def count_ranking(self) -> baselines.CountRanking:
         """The total-count baseline over every user's documents."""
         terms = corpus.term_columns(self.counts, self.vocab)
@@ -122,8 +130,7 @@ class ExperimentResult:
     @functools.cached_property
     def pooled_ranking(self) -> baselines.CountRanking:
         """The pooled-trend baseline: the users' votes for their top keyword."""
-        rows = [lk.values.values for lk in self.likelihoods]
-        tops = baselines.local_top_keywords(rows, self.vocab)
+        tops = baselines.local_top_keywords(self.likelihood_rows, self.vocab)
         return baselines.rank_by_pooled_trend([top for top in tops if top is not None])
 
 
@@ -191,8 +198,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 1)))
     user_docs = sample_user_documents(documents, cfg.n_users, sample_rng)
     copies, primary, counts = corpus.document_columns(user_docs, vocab, cfg.k)
-    likelihoods = bayes.column_likelihoods(primary, copies, cfg.alpha0)
-    secrets = [lk.values for lk in likelihoods]
+    secrets = secagg.Rows(bayes.column_likelihoods(primary, copies, cfg.alpha0), (0.0, 1.0))
 
     round_cfg = cfg.round_config()
     aggregates: list[np.ndarray] = []
@@ -207,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # the oracle: each round's aggregate is the sum without shares, bit for bit
     exact = secagg.encoded_sum(secrets, cfg.share_range).tobytes()
     # each round sums the same secrets: one range check stands for all of them
-    validation = secagg.validate_aggregate(aggregate, cfg.n_users, secrets[0].bounds)
+    validation = secagg.validate_aggregate(aggregate, cfg.n_users, secrets.bounds)
     try:
         posteriors = bayes.rank_rounds(
             aggregates, prior, cfg.n_users, cfg.aggregation, cfg.score_resolution
@@ -216,9 +222,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"--rounds {cfg.rounds}: {exc} under {cfg.idf_path}") from exc
 
     final = posteriors[-1]
-    merged = netsim.Transcript(
-        cfg.n_users, len(vocab), cfg.share_range, cfg.seed, None, tuple(parts)
-    )
+    merged = replace(transcript, messages=None, parts=tuple(parts))  # same N, d, D, seed, grid
     config_dict = asdict(cfg)
     meta = {
         "seed": cfg.seed,
@@ -238,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         config=cfg,
         vocab=vocab,
         user_docs=user_docs,
-        likelihoods=likelihoods,
+        likelihood_rows=secrets.values,
         initial_prior=prior,
         aggregate=aggregate,
         validation=validation,

@@ -8,13 +8,13 @@ result.  Delivery order within each phase follows the configured schedule
 (``round_robin`` or ``seeded_shuffle``); the aggregate is invariant to it
 because every sum of the round is exact on ``secagg``'s grid.
 
-``run_round`` draws no share: the shares cancel in the aggregate, the int64
-sum of the encoded secrets' grid steps, so ``check`` draws none.  They exist
-only in a round's transcript: each read draws them from the seeds, each row
-once, adds them into the encoded secrets' steps, yields the Obfuscated
-vectors from those steps, and raises ``CancellationError`` before the
-broadcast unless those sum to the aggregate.  ``inject_adversary`` rewrites
-a round's sends, as they are read, where one misbehaving user changes them.
+``run_round`` draws no share and spawns no seed: shares cancel in the
+aggregate, the int64 sum of the encoded secrets' grid steps.  They exist
+only in a round's transcript: each read spawns the seeds, draws the shares,
+each row once, adds them into the encoded secrets' steps, yields the
+Obfuscated vectors from those steps, and raises ``CancellationError``
+before the broadcast unless those sum to the aggregate.  ``inject_adversary``
+rewrites a round's sends, as they are read, where one misbehaving user changes them.
 
 Every transcript is one stream of sends, (round, sender, receiver, kind,
 payload) tuples that a ``Message`` also unpacks to, and keeps no message
@@ -25,7 +25,7 @@ every double, at one C call per message.  ``round_robin`` reaches each
 sender's rows in order, so a block is drawn a few rows at a time, the send
 order is computed as it goes, and ``run`` writes and a read streams in
 O(N·d) memory; ``seeded_shuffle`` may send any share first, so it draws
-whole blocks and lists its N(N-1) sends.
+whole blocks and holds its N(N-1) senders and receivers as integer arrays.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ class Transcript:
     seed: int
     messages: Iterable[Message] | None
     parts: tuple = field(default=(), repr=False)
+    grid_bits: int | None = None  # f of the rounds' grid 2**-f; a loaded file's is unknown
 
     def __post_init__(self):
         messages = self.messages
@@ -188,55 +189,39 @@ class RoundConfig:
 # ---------------------------------------------------------------------------
 
 
-def _round_seeds(secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
-    """The ``SeedSequence``s of a round's N users over ``secrets``, the one
-    of its delivery order, the bits f of its grid, and the ``encode_steps``
-    of the secrets, one row each.
+def _round(secrets: secagg.Rows | Sequence[FeatureVector], cfg: RoundConfig, round_index: int):
+    """One honest round over ``secrets``: its aggregate, its transcript, the
+    bits f of its grid, the secrets' ``encode_steps`` and ``seeds()``, which
+    spawns the same N + 1 ``SeedSequence``s, users' and delivery's, each call.
 
     The one check of a round's inputs: ``ValueError`` unless there is at
     least one user, the secrets share one dimension d >= 1 and one pair of
     bounds, every secret lies inside them, and ``secagg.check_grid``
     accepts the grid for them.
     """
-    n = len(secrets)
-    if n < 1:
-        raise ValueError("need at least one user")
-    if len({len(s) for s in secrets}) != 1 or len(secrets[0]) < 1:
-        raise ValueError("all secrets must have the same dimension, at least 1")
-    bounds = {s.bounds for s in secrets}
-    if len(bounds) != 1:
-        raise ValueError("all secrets must declare the same bounds")
-    (a, b), values = bounds.pop(), np.array([s.values for s in secrets])
-    low, high = float(values.min()), float(values.max())
+    values, (a, b) = secagg.as_rows(secrets)
+    stack = np.asarray(values)  # a sequence of rows is stacked here, for this call alone
+    n, share_range = len(stack), cfg.share_range
+    if stack.ndim != 2 or 0 in stack.shape:
+        raise ValueError("need at least one user, all secrets of the same dimension, at least 1")
+    low, high = float(stack.min()), float(stack.max())
     if not a <= low <= high <= b:  # NaN fails too
-        i = np.flatnonzero(~((values >= a) & (values <= b)).all(axis=1))[0]
+        i = np.flatnonzero(~((stack >= a) & (stack <= b)).all(axis=1))[0]
         raise ValueError(f"secret of user {i} violates its declared bounds")
-    f = secagg.check_grid(n, cfg.share_range, (a, b), (low, high))
-    *users, deliver = np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
-    return users, deliver, f, secagg.encode_steps(values, (a, b), f)
-
-
-# Share rows the round-robin writer holds over all senders: up to N = 22 a
-# sender's block is one draw, at N = 200 a draw is two rows.
-_ROW_BUDGET = 512
-
-
-def run_round(
-    secrets: Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
-) -> tuple[FeatureVector, Transcript]:
-    """Run one honest aggregation round over the users' secret vectors, with
-    no share drawn; ``ValueError`` for inputs that no round can take."""
-    seeds, deliver_seed, f, encoded = _round_seeds(secrets, cfg, round_index)
-    n, d, share_range, (a, b) = len(seeds), encoded.shape[1], cfg.share_range, secrets[0].bounds
+    f = secagg.check_grid(n, share_range, (a, b), (low, high))
+    encoded, d = secagg.encode_steps(stack, (a, b), f), stack.shape[1]
     result = FeatureVector(secagg.sum_steps(encoded, f), (n * a, n * b))
-    values = [s.values for s in secrets]  # read-only: a read encodes them again
+
+    def seeds():  # only a read that draws shares or shuffles spawns them
+        return np.random.SeedSequence((int(cfg.seed), int(round_index))).spawn(n + 1)
 
     def sends(payloads=True):  # the shares, drawn from the seeds on each read
         names = (*map(str, range(n)), AGGREGATOR_ID)
-        deliver = np.random.default_rng(deliver_seed)
         shuffled = cfg.delivery == "seeded_shuffle"
+        spawned = seeds() if payloads or shuffled else ()
+        deliver = np.random.default_rng(spawned[n]) if shuffled else None
         # a count takes the same order with no share generator and no share
-        rngs = [np.random.default_rng(seed) for seed in seeds] if payloads else ()
+        rngs = [np.random.default_rng(seed) for seed in spawned[:n]] if payloads else ()
         rows = n if shuffled else max(1, _ROW_BUDGET // n)
         held = [(0, ())] * n  # per sender: index of its first held row, and the rows
         # row k: her encoded steps + received - sent, in int64 (a lone user's keeps -0.0)
@@ -259,11 +244,13 @@ def run_round(
             return [items[j] for j in deliver.permutation(len(items))] if shuffled else items
 
         # a user's obfuscated vector leaves when her last share arrives
-        if shuffled:
-            shares = order([(i, k) for i in range(n) for k in range(n) if k != i])
-            arrived = list(dict.fromkeys(k for _, k in reversed(shares)))[::-1] or [0]
-        else:  # column c of sender i goes to c + (c >= i): user k < n - 1 hears
-            # last from n - 1 in column k, n - 1 from n - 2 just before n - 2 does
+        if shuffled:  # share j: sender i = j // (n - 1)'s column c = j % (n - 1), to c + (c >= i)
+            senders, receivers = np.divmod(deliver.permutation(n * (n - 1)), max(n - 1, 1))
+            receivers += receivers >= senders
+            arrived = list(dict.fromkeys(receivers[::-1].tolist()))[::-1] or [0]
+            shares = zip(senders.tolist(), receivers.tolist())
+        else:  # user k < n - 1 hears last from n - 1 in column k, n - 1 from n - 2
+            # just before n - 2 does
             shares = ((i, c + (c >= i)) for c in range(n - 1) for i in range(n))
             arrived = [*range(n - 2), n - 1, n - 2][:n]
         for i, k in shares:
@@ -276,7 +263,21 @@ def run_round(
         for k in order(range(n)):
             yield round_index, AGGREGATOR_ID, names[k], MessageKind.AGGREGATE, result.values
 
-    return result, Transcript(n, d, share_range, cfg.seed, None, (sends,))
+    transcript = Transcript(n, d, share_range, cfg.seed, None, (sends,), f)
+    return result, transcript, f, encoded, seeds
+
+
+# Share rows the round-robin writer holds over all senders: up to N = 22 a
+# sender's block is one draw, at N = 200 a draw is two rows.
+_ROW_BUDGET = 512
+
+
+def run_round(
+    secrets: secagg.Rows | Sequence[FeatureVector], cfg: RoundConfig, round_index: int = 0
+) -> tuple[FeatureVector, Transcript]:
+    """Run one honest aggregation round over the users' secret vectors, with
+    no share drawn and no seed spawned; ``ValueError`` for inputs that no round can take."""
+    return _round(secrets, cfg, round_index)[:2]
 
 
 def _add_shares(net: np.ndarray, i: int, start: int, steps: np.ndarray) -> None:
@@ -291,7 +292,7 @@ def _add_shares(net: np.ndarray, i: int, start: int, steps: np.ndarray) -> None:
 
 
 def inject_adversary(
-    secrets: Sequence[FeatureVector],
+    secrets: secagg.Rows | Sequence[FeatureVector],
     cfg: RoundConfig,
     behavior: AdversaryBehavior | str,
     adversary: int = 0,
@@ -300,7 +301,7 @@ def inject_adversary(
 ) -> tuple[FeatureVector, Transcript, RangeReport]:
     """Run a round where one designated user misbehaves.
 
-    The round is ``run_round``'s honest one over the same inputs, with the
+    The round is ``run_round``'s honest one, its inputs checked once, with the
     messages that the misbehaviour changes rewritten on the wire: each
     gains a value at ``coordinate``.  ``inflate_coordinate`` adds
     ``amount`` (default: enough to escape the admissible range) to the
@@ -312,17 +313,17 @@ def inject_adversary(
     a time.  Returns the aggregate, transcript and range-validation report.
     """
     behavior = AdversaryBehavior(behavior)
-    n = len(secrets)
+    secrets = secagg.as_rows(secrets)
+    n, (a, b) = len(secrets.values), secrets.bounds
     if n < 2:
         raise ValueError("adversary injection needs at least two users")
     if not 0 <= adversary < n:
         raise ValueError("adversary index out of range")
-    _, honest = run_round(secrets, cfg)
+    _, honest, f, net, spawn = _round(secrets, cfg, 0)
     if not 0 <= coordinate < honest.dim:
         raise ValueError("coordinate index out of range")
     (part,) = honest.parts  # its sends, drawn from the seeds on each call
-    seeds, _, f, net = _round_seeds(secrets, cfg, 0)
-    a, b = secrets[0].bounds
+    *seeds, _ = spawn()
     sender, peer = str(adversary), str(int(adversary == 0))
     if behavior is AdversaryBehavior.INFLATE_COORDINATE:
         gains = {(sender, AGGREGATOR_ID): n * (b - a) + 1.0 if amount is None else amount}
@@ -382,7 +383,7 @@ def _canonical_bytes(values: np.ndarray) -> bytes:
 
 
 def transcript_privacy_check(
-    transcript: Transcript, secrets: Sequence[FeatureVector]
+    transcript: Transcript, secrets: secagg.Rows | Sequence[FeatureVector]
 ) -> PrivacyReport:
     """Honest-but-curious audit of a recorded round.
 
@@ -391,13 +392,10 @@ def transcript_privacy_check(
     (iii) no node other than user i ever observes user i's raw vector.  A
     raw vector counts both as given and as the round's grid encodes it.
     """
-    d, bounds = transcript.share_range, secrets[0].bounds
-    f = secagg.grid_bits(transcript.n_users, d, bounds)
-    encoded = secagg.encode([s.values for s in secrets], bounds, f)
+    d, (values, bounds) = transcript.share_range, secagg.as_rows(secrets)
+    encoded = secagg.encode(values, bounds, secagg.grid_bits(transcript.n_users, d, bounds))
     secret_owner = {
-        _canonical_bytes(values): str(i)
-        for i, s in enumerate(secrets)
-        for values in (s.values, encoded[i])
+        _canonical_bytes(raw): str(i) for i, row in enumerate(values) for raw in (row, encoded[i])
     }
     violations: list[tuple[int, str]] = []
     sends = (send for part in transcript.parts for send in part())  # no messages kept

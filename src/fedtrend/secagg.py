@@ -39,15 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "FeatureVector",
     "RangeReport",
+    "Rows",
     "ShareSet",
     "aggregate",
+    "as_rows",
     "check_grid",
     "combine_received",
     "encode",
@@ -111,6 +113,26 @@ class FeatureVector:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+
+class Rows(NamedTuple):
+    """N users' read-only vectors inside ``bounds``, the rows of an (N, d) ``values``."""
+
+    values: np.ndarray | Sequence[np.ndarray]
+    bounds: tuple[float, float] = (0.0, 1.0)
+
+
+def as_rows(secrets: Rows | Sequence[FeatureVector]) -> Rows:
+    """``secrets``, or the ``Rows`` of a sequence of ``FeatureVector``s;
+    ``ValueError`` unless they share one dimension and one pair of bounds."""
+    if isinstance(secrets, Rows):
+        return secrets
+    dims, bounds = {len(s) for s in secrets}, {s.bounds for s in secrets}
+    if len(dims) > 1:
+        raise ValueError("all secrets must have the same dimension, at least 1")
+    if len(bounds) > 1:
+        raise ValueError("all secrets must declare the same bounds")
+    return Rows([s.values for s in secrets], *bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,18 +233,19 @@ def encode(values, bounds: tuple[float, float], f: int) -> np.ndarray:
     return freeze(np.ldexp(encode_steps(values, bounds, f), -f))
 
 
-def encoded_sum(secrets: Sequence[FeatureVector], share_range: float) -> np.ndarray:
+def encoded_sum(secrets: Rows | Sequence[FeatureVector], share_range: float) -> np.ndarray:
     """The aggregate of an honest round over ``secrets`` with share range
     ``share_range``, read-only: the sum of the encoded secrets, as it sums them."""
-    f = grid_bits(len(secrets), share_range, secrets[0].bounds)
-    return sum_steps(encode_steps([s.values for s in secrets], secrets[0].bounds, f), f)
+    values, bounds = as_rows(secrets)
+    f = grid_bits(len(values), share_range, bounds)
+    return sum_steps(encode_steps(values, bounds, f), f)
 
 
 def sum_steps(steps: np.ndarray, f: int) -> np.ndarray:
     """The rows of ``steps``, counts of steps 2**-f, summed exactly: a lone row keeps -0.0."""
     if len(steps) == 1:
         return freeze(np.ldexp(steps[0], -f))
-    return freeze(np.ldexp(steps.astype(np.int64, copy=False).sum(axis=0), -f))
+    return freeze(np.ldexp(steps.sum(axis=0, dtype=np.int64), -f))  # cast in buffered chunks
 
 
 def exact_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -430,28 +430,76 @@ def test_cli_aggregate_reports_a_coarse_grid_moving_the_sum(tmp_path, capsys):
     assert (tmp_path / "agg" / "aggregate.csv").read_text() == "coordinate,value\n0,2\n"
 
 
-def _messages_built(monkeypatch, argv) -> int:
-    """How many ``netsim.Message``s ``cli.main(argv)`` constructs."""
+def _built(monkeypatch, argv, cls=netsim.Message) -> int:
+    """How many ``cls`` instances ``cli.main(argv)`` constructs."""
     built = []
-    post_init = netsim.Message.__post_init__
+    post_init = cls.__post_init__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(netsim.Message, "__post_init__", counting)
-    assert cli.main(argv) == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(cls, "__post_init__", counting)
+        assert cli.main(argv) == 0
     return len(built)
 
 
 def test_cli_check_never_builds_the_transcript(monkeypatch, tmp_path):
     argv = ["--users", "20", "--rounds", "2", "--seed", "0"]
-    assert _messages_built(monkeypatch, ["check", *argv]) == 0
+    assert _built(monkeypatch, ["check", *argv]) == 0
     # run writes its transcript's lines straight from the rounds' seeds
     run = ["run", *argv, "--out", str(tmp_path / "out")]
-    assert _messages_built(monkeypatch, run) == 0
+    assert _built(monkeypatch, run) == 0
     lines = (tmp_path / "out" / "transcript.jsonl").read_bytes().splitlines()
     assert len(lines) == 1 + 2 * (20 * 20 + 20)
+
+
+def test_cli_check_builds_no_vector_per_user(monkeypatch):
+    # the users' likelihoods stay rows of one array through the rounds and the oracle
+    argv = ["check", "--rounds", "2", "--seed", "0", "--users"]
+    built = [_built(monkeypatch, [*argv, n], secagg.FeatureVector) for n in ("20", "40")]
+    assert built[0] == built[1]
+
+
+class _SpawnRefused(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("a seed was spawned")
+
+
+def test_cli_check_spawns_no_seed(monkeypatch):
+    # a subclass stands in: numpy's SeedSequence.spawn cannot be patched, as
+    # its class is an immutable extension type
+    monkeypatch.setattr(np.random, "SeedSequence", _SpawnRefused)
+    assert cli.main(["check", "--users", "20", "--rounds", "2", "--seed", "0"]) == 0
+
+
+def test_cli_run_spawns_each_rounds_seeds_once(monkeypatch, tmp_path):
+    spawned = []
+
+    class Counting(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    argv = ["run", "--users", "20", "--rounds", "2", "--seed", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # as the transcript is written: the 20 users' seeds and the delivery seed, per round
+    assert spawned == [21, 21]
+
+
+def test_likelihoods_are_the_rows_of_one_array(experiment_config):
+    result = run_experiment(experiment_config(n_users=7, seed=2))
+    rows = result.likelihood_rows
+    assert rows.shape == (7, len(result.vocab)) and not rows.flags.writeable
+    assert [lk.user_id for lk in result.likelihoods] == [str(i) for i in range(7)]
+    for lk, row in zip(result.likelihoods, rows):
+        assert lk.values.values.tobytes() == row.tobytes()
+        assert lk.values.bounds == (0.0, 1.0)
+    assert result.likelihoods is result.likelihoods  # built on the first read alone
+    reference = bayes.local_likelihoods(result.user_docs, result.vocab, k=result.config.k)
+    assert [lk.values.values.tobytes() for lk in reference] == [row.tobytes() for row in rows]
 
 
 def _share_rows_drawn(monkeypatch) -> list:

@@ -22,7 +22,7 @@ from fedtrend.netsim import (
     MessageKind,
     RoundConfig,
     Transcript,
-    _round_seeds,
+    _round,
     inject_adversary,
     load_transcript,
     run_round,
@@ -186,6 +186,19 @@ def test_counting_reads_no_payload(delivery, n, tmp_path, monkeypatch):
             list(t.messages)
 
 
+def test_a_shuffled_count_lists_no_pairs_of_users():
+    # a shuffled count takes each share's sender and receiver from its place in
+    # the permutation as integer arrays; the N(N-1) (sender, receiver) tuples
+    # it listed peaked at 3.01 MiB here, a round-robin count at 0.02 MiB
+    n, d = 200, 699
+    cfg = RoundConfig(seed=1, delivery="seeded_shuffle")
+    _, transcript = run_round(random_secrets(n, d, seed=1), cfg)
+    len(transcript.messages)  # warm numpy's caches
+    count, peak = traced_peak(lambda: len(transcript.messages))
+    assert count == n * n + n
+    assert peak <= 3.01 / 2 * 2**20
+
+
 def test_counting_a_two_round_experiment_reads_no_payload(experiment_config, monkeypatch):
     cfg = experiment_config(seed=4, n_users=6, rounds=2)
     counts = assert_counts_match_a_full_read(run_experiment(cfg).transcript, monkeypatch)
@@ -209,6 +222,19 @@ FEW_ROW_ADVERSARIES = [
     (AdversaryBehavior.OUT_OF_RANGE_SHARE, "round_robin"),
     (AdversaryBehavior.OUT_OF_RANGE_SHARE, "seeded_shuffle"),
 ]
+
+
+@pytest.mark.parametrize("behavior", list(AdversaryBehavior))
+def test_adversary_round_checks_its_inputs_once(behavior, monkeypatch):
+    calls, check = [], secagg.check_grid
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(secagg, "check_grid", counting)
+    inject_adversary(random_secrets(4, 3, seed=2), RoundConfig(seed=2), behavior, adversary=1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("behavior, delivery", FEW_ROW_ADVERSARIES)
@@ -296,7 +322,7 @@ def _reference_round(secrets, cfg, round_index):
     over the same seeds: each user's block from ``make_shares``, the shares
     in ``_schedule`` order, and each user's obfuscated vector from
     ``combine_received`` once her last share has arrived."""
-    seeds, deliver_seed, _, _ = _round_seeds(secrets, cfg, round_index)
+    *seeds, deliver_seed = _round(secrets, cfg, round_index)[4]()
     n, r, deliver = len(secrets), round_index, np.random.default_rng(deliver_seed)
     blocks = [
         make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
@@ -381,7 +407,7 @@ def test_engine_shares_payloads_by_reference():
     n, cfg = 4, RoundConfig(seed=6)
     secrets = random_secrets(n, 5, seed=6)
     result, transcript = run_round(secrets, cfg)
-    seeds, _, _, _ = _round_seeds(secrets, cfg, 0)  # the same seeds
+    *seeds, _ = _round(secrets, cfg, 0)[4]()  # the same seeds
     blocks = [
         make_shares(s, n, cfg.share_range, rng=np.random.default_rng(seed), owner=i).shares
         for i, (s, seed) in enumerate(zip(secrets, seeds))
